@@ -13,16 +13,16 @@ committed performance claims:
   have wrapped the default span ring (zero drops).
 * ``BENCH_parallel.json`` (optional) — the sharded run must be the same
   simulation: merged trace checksums identical across the process
-  backend (barrier and overlapped exchange), the single-shard baseline,
-  repeated same-seed runs and a killed-and-replayed worker; the
-  overlapped exchange must execute *strictly fewer* synchronization
-  stalls than the barrier on the same workload.  The >= 2.5x events/sec
+  backend, the single-shard baseline, repeated same-seed runs and a
+  killed-and-replayed worker; the neighbour-gated process run must
+  charge *strictly fewer* synchronization stalls than the
+  ``R·(R-1)·(rounds-1)`` a full barrier would.  The >= 2.5x events/sec
   speedup floor is enforced only when the artifact was produced on a
   host with >= 4 cores — a starved runner cannot demonstrate
   parallelism, but it can still demonstrate determinism.
 * ``BENCH_parallel_large.json`` (optional) — the memory-lean
   million-node tier: per-region delivery digests identical across
-  backends/modes/repeats, zero drops, and the tracemalloc
+  backends and repeats, zero drops, and the tracemalloc
   bytes-per-node probe under its ceiling.  The >= 1M nodes / >= 10M
   messages scenario floors apply only to ``mode == "large"`` artifacts
   (the CI-sized ``large_smoke`` rehearsal keeps the determinism and
@@ -63,9 +63,6 @@ FLOORS = [
      "span-ring drops in mode 'sampled_1pct' at default capacity"),
     ("parallel", "determinism.backends_match", 1, "min",
      "merged trace checksum: process backend == single-shard baseline"),
-    ("parallel", "determinism.overlapped_match", 1, "min",
-     "merged trace checksum: overlapped exchange == single-shard "
-     "baseline"),
     ("parallel", "determinism.repeat_match", 1, "min",
      "merged trace checksum byte-stable across same-seed parallel runs"),
     ("parallel", "determinism.restart_match", 1, "min",
@@ -73,12 +70,10 @@ FLOORS = [
     ("parallel", "restart.restarts", 1, "min",
      "the chaos run actually killed and revived a worker"),
     ("parallel_large", "determinism.backends_match", 1, "min",
-     "lean-tier delivery digest: process barrier == single-shard"),
-    ("parallel_large", "determinism.overlapped_match", 1, "min",
-     "lean-tier delivery digest: overlapped exchange == single-shard"),
+     "lean-tier delivery digest: process backend == single-shard"),
     ("parallel_large", "determinism.repeat_match", 1, "min",
      "lean-tier delivery digest byte-stable across same-seed "
-     "overlapped runs"),
+     "process runs"),
     ("parallel_large", "determinism.zero_drops", 1, "min",
      "lean tier delivers every message (no drops in any run)"),
     ("parallel_large", "memory.bytes_per_node", 64.0, "max",
@@ -136,15 +131,17 @@ def check(kernel_path: Path, telemetry_path: Path,
                   f"speedup floor ({PARALLEL_SPEEDUP_FLOOR}x) needs "
                   f">= {PARALLEL_MIN_CORES} cores and is skipped — "
                   f"determinism floors still apply")
-        barrier_stalls = parallel.get("parallel", {}).get("sync_stalls")
-        if barrier_stalls is not None:
-            # Strictly fewer: the overlapped exchange must beat the
-            # barrier's stall count on the identical committed workload.
+        regions = parallel.get("scenario", {}).get("regions")
+        rounds = parallel.get("parallel", {}).get("rounds")
+        if regions and rounds:
+            # Strictly fewer than a full barrier, where every region
+            # waits on every other each round after the first.
+            barrier_stalls = regions * (regions - 1) * (rounds - 1)
             floors.append(
-                ("parallel", "overlapped.sync_stalls",
+                ("parallel", "parallel.sync_stalls",
                  barrier_stalls - 1, "max",
-                 f"overlapped sync stalls strictly below the barrier's "
-                 f"{barrier_stalls}"))
+                 f"neighbour-gated sync stalls strictly below a full "
+                 f"barrier's {barrier_stalls}"))
     large = artifacts.get("parallel_large")
     if large is not None and large.get("mode") == "large":
         floors.append(

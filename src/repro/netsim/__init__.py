@@ -21,7 +21,6 @@ from repro.netsim.network import Network, NetworkStats
 from repro.netsim.node import EndpointHandler, Node, least_loaded
 from repro.netsim.partition import (
     Boundary,
-    CompactPartition,
     Partition,
     RegionNetwork,
 )
@@ -29,7 +28,6 @@ from repro.netsim.topology import datacenter, full_mesh, hosts, line, ring, star
 
 __all__ = [
     "Boundary",
-    "CompactPartition",
     "EndpointHandler",
     "FailureEvent",
     "FailureInjector",

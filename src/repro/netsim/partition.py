@@ -76,12 +76,25 @@ class Partition:
     The partition is plain data (dicts and tuples) so it pickles across
     process boundaries; every worker holds the same copy and can answer
     ``region_of`` for any node in the whole topology without owning it.
+
+    A million-node topology cannot afford a million-entry assignment
+    dict in every worker process, so a partition may also take a
+    ``resolver``: a callable mapping a node name to its region, or to
+    ``None`` to decline — typically a small object that parses the
+    region out of systematic names (``n3_1417`` → region 3).  Explicit
+    assignments answer first, the resolver second, so memory is
+    O(explicit assignments + boundaries) at any node count.  The
+    resolver must be deterministic and picklable (a module-level
+    function or an instance of a module-level class, not a lambda).
     """
 
-    def __init__(self, regions: int) -> None:
+    def __init__(self, regions: int,
+                 resolver: Callable[[str], int | None] | None = None
+                 ) -> None:
         if regions < 1:
             raise NetworkError(f"partition needs >= 1 region, got {regions}")
         self.regions = regions
+        self._resolver = resolver
         self._node_region: dict[str, int] = {}
         self.boundaries: list[Boundary] = []
         self._next_hop: dict[tuple[int, int], Boundary] | None = None
@@ -131,10 +144,18 @@ class Partition:
         try:
             return self._node_region[node]
         except KeyError:
-            raise NetworkError(f"node {node!r} not assigned to any region") \
-                from None
+            region = None if self._resolver is None else self._resolver(node)
+        if region is None:
+            raise NetworkError(f"node {node!r} not assigned to any region")
+        if not 0 <= region < self.regions:
+            raise NetworkError(
+                f"resolver mapped {node!r} to region {region}, out of "
+                f"range 0..{self.regions - 1}")
+        return region
 
     def nodes_in(self, region: int) -> list[str]:
+        """The explicitly assigned nodes of ``region`` (a resolver's
+        population cannot be enumerated)."""
         return sorted(node for node, r in self._node_region.items()
                       if r == region)
 
@@ -144,7 +165,7 @@ class Partition:
 
         Any message created before time ``t`` cannot arrive in another
         region before ``t + lookahead``, so regions may safely run
-        ``lookahead`` ahead of each other between barriers.
+        ``lookahead`` ahead of each other between exchanges.
         """
         if not self.boundaries:
             raise NetworkError(
@@ -166,10 +187,11 @@ class Partition:
         """Minimum total boundary latency between two regions.
 
         ``math.inf`` when unreachable, ``0.0`` on the diagonal.  This is
-        the triangle-inequality bound the coordinator's overlapped
-        exchange relies on: a message egressing region ``s`` at time
+        the triangle-inequality bound the coordinator's adaptive
+        lookahead relies on: a message egressing region ``s`` at time
         ``t`` cannot be injected into region ``r`` before
-        ``t + region_distance(s, r)``.
+        ``t + region_distance(s, r)`` — up to float rounding, since the
+        message adds the latencies hop by hop and this sums them first.
         """
         if src_region == dst_region:
             return 0.0
@@ -204,63 +226,11 @@ class Partition:
         self._distances = distances
 
     def validate(self) -> None:
-        """Check every region is populated and boundaries are consistent."""
-        populated = {region for region in self._node_region.values()}
-        missing = set(range(self.regions)) - populated
-        if missing:
+        """Check every region is populated (a resolver's population is
+        its own contract) and every region can reach every other."""
+        missing = set(range(self.regions)) - set(self._node_region.values())
+        if missing and self._resolver is None:
             raise NetworkError(f"regions {sorted(missing)} have no nodes")
-        if self.regions > 1:
-            self._build_next_hops()
-            for src in range(self.regions):
-                for dst in range(self.regions):
-                    if src != dst and (src, dst) not in (self._next_hop or {}):
-                        raise NetworkError(
-                            f"region {dst} unreachable from region {src}")
-
-
-class CompactPartition(Partition):
-    """A partition whose node→region map is a *formula*, not a dict.
-
-    A million-node topology cannot afford a million-entry assignment
-    dict in every worker process (the partition is pickled to each one).
-    A :class:`CompactPartition` answers :meth:`region_of` through a
-    ``resolver`` callable — typically a small picklable object that
-    parses the region out of systematic node names (``n3_1417`` → region
-    3) — and keeps the explicit dict only for the handful of nodes the
-    resolver declines (returns ``None`` for).  Memory is O(explicit
-    overrides + boundaries), independent of node count.
-
-    The resolver must be deterministic and picklable (a module-level
-    function or an instance of a module-level class, not a lambda).
-    """
-
-    def __init__(self, regions: int,
-                 resolver: Callable[[str], int | None]) -> None:
-        super().__init__(regions)
-        self._resolver = resolver
-
-    def region_of(self, node: str) -> int:
-        explicit = self._node_region.get(node)
-        if explicit is not None:
-            return explicit
-        region = self._resolver(node)
-        if region is None:
-            raise NetworkError(
-                f"node {node!r} not assigned to any region")
-        if not 0 <= region < self.regions:
-            raise NetworkError(
-                f"resolver mapped {node!r} to region {region}, out of "
-                f"range 0..{self.regions - 1}")
-        return region
-
-    def nodes_in(self, region: int) -> list[str]:
-        """Only the *explicitly* assigned nodes: a formula-backed
-        partition cannot enumerate its full population."""
-        return super().nodes_in(region)
-
-    def validate(self) -> None:
-        """Check boundary connectivity only; population is the
-        resolver's contract (it cannot be enumerated here)."""
         if self.regions > 1:
             self._build_next_hops()
             for src in range(self.regions):

@@ -4,22 +4,21 @@ The scalability story for the simulation substrate: partition the
 topology into regions (:class:`~repro.netsim.Partition`), give each
 region its own event queue in its own worker process, and synchronize
 conservatively — the minimum cross-region link latency is the safe
-horizon, so regions exchange boundary messages only at barrier rounds
-and never see an event out of order.
+horizon, so regions exchange boundary messages only between rounds and
+never see an event out of order.
 
 The same per-region code runs under two backends (``"process"`` workers
-over pipes, or the ``"inline"`` single-shard baseline) and two exchange
-modes — ``"barrier"`` (global rounds) and ``"overlapped"`` (each region
-advances as soon as its boundary *neighbors* are one round behind, so
-rounds pipeline around the region graph).  Per-region telemetry merges
-deterministically by (sim-time, region-id, seq), and a killed worker is
-revived by replaying its command history — all paths produce
-byte-identical merged trace checksums for the same seed.  Adaptive
-lookahead (``adaptive=True``) widens horizons past the fixed cadence
-using each region's egress-floor promise; the memory-lean scenario
-(:func:`build_lean_star_region`) scales the same ring-of-stars workload
-to millions of leaves with columnar per-leaf state and an
-order-invariant delivery digest.
+over pipes, or the ``"inline"`` single-shard baseline) and one exchange
+engine: each region starts its next round as soon as its boundary
+*neighbours* allow, so rounds pipeline around the region graph with no
+global barrier.  Per-region telemetry merges deterministically by
+(sim-time, region-id, seq), and a killed worker is revived by replaying
+its command history — all paths produce byte-identical merged trace
+checksums for the same seed.  Adaptive lookahead (``adaptive=True``)
+widens horizons past the fixed cadence using each region's egress-floor
+promise; the memory-lean scenario (:func:`build_lean_star_region`)
+scales the same ring-of-stars workload to millions of leaves with
+columnar per-leaf state and an order-invariant delivery digest.
 
 Quick start::
 

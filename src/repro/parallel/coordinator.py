@@ -3,52 +3,48 @@
 :class:`ParallelSimulation` runs a partitioned topology as a set of
 region shards synchronized in conservative rounds: with lookahead ``L``
 (the minimum boundary-link latency, see
-:class:`~repro.netsim.partition.Partition`), every boundary tuple
-egressed during window ``[kL, (k+1)L)`` arrives no earlier than
-``(k+1)L`` — so each region may simulate a whole window without hearing
-from the others, and the coordinator only exchanges outboxes between
-windows.  Windows run horizon-**exclusive**
+:class:`~repro.netsim.partition.Partition`), a boundary tuple egressed
+at time ``t`` arrives no earlier than ``t + L`` — so each region may
+simulate a window without hearing from the others, and the coordinator
+only moves outboxes between windows.  Windows run horizon-**exclusive**
 (``Simulator.run(until=h, inclusive=False)``): an event exactly at the
 horizon fires next round, after same-instant remote tuples have been
 injected, which is what makes the interleaving — and the merged trace —
 deterministic.
 
-Two exchange **modes** schedule those rounds:
+There is one exchange engine, **neighbour-gated** rounds.  Boundary
+tuples only ever reach a region from its boundary neighbours, so every
+region runs its own sequence of rounds and the coordinator acts on
+whichever region replies first; there is no global barrier.  The
+*cadence* decides when region ``r`` may start its next round, to which
+horizon, and which held boundary tuples go in:
 
-* ``"barrier"`` — the full barrier: every region finishes round ``k``
-  before any region starts round ``k+1``.  Each dispatch of round
-  ``k>=1`` therefore waits on all ``R-1`` other regions.
-* ``"overlapped"`` — neighborhood-synchronized pipelining.  Boundary
-  tuples only ever target a region's *boundary neighbors*, so region
-  ``r`` may start round ``k`` as soon as its neighbors have finished
-  round ``k-1`` — distant regions can be several rounds apart, the
-  outbox exchange overlaps with ongoing windows, and each dispatch
-  waits only on ``|neighbors(r)|`` regions.  The per-region command
-  sequence (round index, horizon, injection batch) is *identical* to
-  barrier mode — injections into ``r``'s round ``k`` are exactly the
-  neighbor round-``k-1`` egresses, merged in ``(arrival, origin region,
-  origin seq)`` order — so the merged trace checksum is byte-identical
-  across modes.
+* **fixed** (default) — round ``k`` ends at ``min((k+1)·H, until)``,
+  computed from the index so float drift cannot add a round; it starts
+  once every neighbour of ``r`` has finished round ``k-1`` and injects
+  exactly those neighbours' round-``k-1`` egress, merged in ``(arrival,
+  origin region, origin seq)`` order.  Each region's command sequence
+  is thus a pure function of the workload, and the merged trace
+  checksum is byte-identical across backends, repeats and revivals.
+* **adaptive** (``adaptive=True``) — every reply carries the region's
+  ``egress_floor`` promise (see
+  :meth:`~repro.netsim.partition.RegionNetwork.egress_floor`).  Region
+  ``r`` may run up to ``min over s of earliest_egress(s) + reach(s,
+  r)``: ``earliest_egress(s)`` is the first time ``s`` could still
+  egress — its last promise, an injected arrival it has not executed
+  yet, or a tuple held for it, whether ``s`` is busy or idle — and
+  ``reach`` is the region distance, or ``r``'s shortest boundary cycle
+  when ``s == r``.  The bound is kept a few ulps low, because a
+  precomputed multi-hop distance can round above the hop-by-hop arrival
+  it bounds.  With sparse cross traffic horizons jump far past ``L``,
+  and with none a run collapses to a couple of rounds.
+  The round structure then depends on reply order, so the witness is
+  the simulation outcome (deliveries, clocks, digests), not the trace.
 
-**Adaptive lookahead** (``adaptive=True``) widens horizons past the
-fixed ``L`` cadence using per-region *promises*: each round a region
-reports its ``egress_floor`` — the earliest simulated time it could
-still egress a boundary tuple (see
-:meth:`~repro.netsim.partition.RegionNetwork.egress_floor`).  No future
-tuple can arrive anywhere before ``min(floors, pending-injection
-arrivals) + L`` (barrier), or before
-``min over s of promise(s) + region_distance(s, r)`` per region
-(overlapped, a null-message-style bound) — so when cross-region traffic
-is sparse the coordinator jumps the horizon to that bound instead of
-crawling in ``L`` steps, and with no cross traffic at all a run
-collapses to a couple of rounds.  Adaptive horizons depend on the
-promise stream, so their *trace* is only comparable within the mode;
-the simulation outcome (deliveries, clocks, digests) is unchanged.
-
-Synchronization stalls are accounted structurally — the number of
-cross-region dependencies each dispatch waits on (deterministic, so the
-benchmark gate can compare modes): barrier pays ``R-1`` per region per
-round after the first, overlapped pays ``|neighbors(r)|``.
+Synchronization stalls are counted structurally: each region round
+after the first waits on its ``|neighbours(r)|`` boundary neighbours.
+The count is deterministic, so the benchmark gate can compare it with
+the ``R·(R-1)`` per round a full barrier would charge.
 
 Two backends execute the identical :class:`~repro.parallel.runtime.
 RegionRuntime` code:
@@ -56,11 +52,8 @@ RegionRuntime` code:
 * ``"inline"`` — every region stepped sequentially in this process; the
   single-shard baseline for both determinism checks and speedup
   measurements.
-* ``"process"`` — one OS process per region, plain tuples over pipes.
-  In overlapped mode replies are multiplexed with
-  :func:`multiprocessing.connection.wait`, so the coordinator acts on
-  whichever region finishes first instead of draining pipes in region
-  order.
+* ``"process"`` — one OS process per region, plain tuples over pipes,
+  replies multiplexed with :func:`multiprocessing.connection.wait`.
 
 Supervision: the coordinator records every command it has sent to each
 region.  When a worker process dies (pipe breaks, or a heartbeat check
@@ -189,24 +182,8 @@ class _InlineWorker:
     def send(self, command: tuple) -> None:
         if self._build_error is not None:
             self._replies.append(("error", self.region, self._build_error))
-            return
-        try:
-            op = command[0]
-            if op == "round":
-                _, index, horizon, inclusive, injections = command
-                outbox, counters = self._runtime.run_round(
-                    index, horizon, inclusive, injections)
-                self._replies.append(("done", index, outbox, counters))
-            elif op == "collect":
-                self._replies.append(("report", self._runtime.collect()))
-            elif op == "stop":
-                self._replies.append(("bye", self.region))
-            else:
-                self._replies.append(
-                    ("error", self.region, f"unknown command {op!r}"))
-        except Exception:
-            self._replies.append(
-                ("error", self.region, traceback.format_exc()))
+        else:
+            self._replies.append(self._runtime.handle(command))
 
     def recv(self) -> tuple:
         return self._replies.popleft()
@@ -342,12 +319,10 @@ class ParallelResult:
     #: Supervision event stream: revivals, degradations, escalations —
     #: surfaced for telemetry/dashboards, never swallowed.
     supervision: list[dict[str, Any]] = field(default_factory=list)
-    #: Exchange mode the run used: "barrier" or "overlapped".
-    mode: str = "barrier"
     #: Whether adaptive lookahead widened horizons this run.
     adaptive: bool = False
-    #: Structural synchronization stalls: total cross-region dependencies
-    #: dispatches waited on (barrier: R-1 each; overlapped: neighbors).
+    #: Structural synchronization stalls: the boundary neighbours every
+    #: region round after the first waited on, summed over rounds.
     sync_stalls: int = 0
 
     @property
@@ -414,37 +389,40 @@ class ParallelSimulation:
     # -- the run -----------------------------------------------------------
 
     def run(self, until: float, *, backend: str = "process",
-            mode: str = "barrier", adaptive: bool = False,
+            mode: str = "overlapped", adaptive: bool = False,
             horizon: float | None = None,
             after_round: Callable[["ParallelSimulation", int, float], None]
             | None = None) -> ParallelResult:
-        """Simulate ``[0, until]`` in conservative rounds.
+        """Simulate ``[0, until]`` in conservative neighbour-gated rounds.
 
         Args:
             backend: ``"process"`` (one worker per region) or
                 ``"inline"`` (sequential single-shard baseline).
-            mode: ``"barrier"`` (full barrier between rounds) or
-                ``"overlapped"`` (neighborhood-synchronized pipelining;
-                identical per-region command sequence, so the merged
-                trace checksum matches barrier mode byte for byte).
+            mode: the exchange; only ``"overlapped"`` (neighbour-gated
+                rounds, the one engine) is accepted.
             adaptive: widen horizons past the fixed cadence using the
                 regions' egress-floor promises.  The simulation outcome
                 is unchanged; the trace is only comparable within
                 adaptive runs (the round structure differs).
-            horizon: base round window; defaults to the partition's
-                lookahead and must not exceed it (that would break
-                conservatism).
+            horizon: fixed-cadence round window; defaults to the
+                partition's lookahead and must not exceed it (that would
+                break conservatism).  Adaptive runs choose their own
+                horizons and reject it.
             after_round: called as ``after_round(self, round_index,
-                time)`` after each completed round (in overlapped mode,
-                after each completed *region* round) — the
-                chaos/progress hook.
+                time)`` after each completed region round — once per
+                region per round index, so a chaos hook keyed on the
+                index alone must be one-shot.
         """
         if until <= 0:
             raise ParallelError(f"until must be > 0, got {until}")
         if backend not in ("process", "inline"):
             raise ParallelError(f"unknown backend {backend!r}")
-        if mode not in ("barrier", "overlapped"):
-            raise ParallelError(f"unknown mode {mode!r}")
+        if mode != "overlapped":
+            raise ParallelError(
+                f"unknown mode {mode!r}; the only exchange is 'overlapped'")
+        if adaptive and horizon is not None:
+            raise ParallelError(
+                "adaptive runs choose their own horizons; omit horizon")
         self.partition.validate()
         lookahead = (self.partition.lookahead
                      if self.partition.boundaries else float("inf"))
@@ -464,17 +442,16 @@ class ParallelSimulation:
         self._spawn_all(backend)
         try:
             wall0 = perf_counter()
-            if mode == "barrier":
-                rounds, leftovers, stalls = self._run_barrier(
-                    until, window, adaptive, after_round)
-            else:
-                rounds, leftovers, stalls = self._run_overlapped(
-                    until, window, adaptive, after_round)
-            reports = {
-                region: reply[1]
-                for region, reply in self._roundtrip(
-                    {region: ("collect",) for region in regions}).items()
-            }
+            rounds, leftovers, stalls = self._run_rounds(
+                until, window, adaptive, after_round)
+            busy: dict[int, tuple] = {}
+            for region in regions:
+                self._dispatch(busy, region, ("collect",))
+            reports = {}
+            while busy:
+                for region, reply in self._collect_ready(busy):
+                    del busy[region]
+                    reports[region] = reply[1]
             wall = perf_counter() - wall0
         finally:
             self._stop_all()
@@ -497,231 +474,134 @@ class ParallelSimulation:
             revival_attempts=self.revival_attempts,
             degraded=tuple(self._degraded),
             supervision=list(self.supervision_events),
-            mode=mode,
             adaptive=adaptive,
             sync_stalls=stalls,
         )
 
-    # -- barrier exchange --------------------------------------------------
-
-    def _run_barrier(self, until: float, window: float, adaptive: bool,
-                     after_round: Callable | None
-                     ) -> tuple[int, int, int]:
-        """Full-barrier rounds; returns (rounds, leftovers, stalls)."""
-        region_count = self.partition.regions
-        regions = range(region_count)
-        lookahead = (self.partition.lookahead
-                     if self.partition.boundaries else math.inf)
-        inject: dict[int, list[tuple]] = {r: [] for r in regions}
-        # Adaptive-promise state: last reported egress floor per region
-        # (0.0 until the first reply — unknown state must not widen) and
-        # the arrival times of injected-but-not-yet-executed tuples,
-        # whose re-egress the floors cannot see yet.
-        floors = {r: 0.0 for r in regions}
-        pending_arrivals: dict[int, list[float]] = {r: [] for r in regions}
-        now, rounds, stalls = 0.0, 0, 0
-        while now < until:
-            # This round's injections count as pending *before* the
-            # horizon is chosen: an injected tuple can re-egress as soon
-            # as it arrives, so its arrival bounds the widening too.
-            for region in regions:
-                pending_arrivals[region].extend(
-                    record[4] for record in inject[region])
-            if adaptive:
-                floor_min = min(floors.values())
-                arrival_min = min(
-                    (min(arrivals) for arrivals
-                     in pending_arrivals.values() if arrivals),
-                    default=math.inf)
-                # Any future egress happens at >= min(floor, pending
-                # arrival) and its tuple lands >= one boundary latency
-                # later; the horizon may jump straight there.
-                widened = min(floor_min, arrival_min) + lookahead
-                boundary = min(until, max(now + window, widened))
-            else:
-                # Multiplicative, not accumulative: repeated float adds
-                # of the window would drift and add a spurious round.
-                boundary = min((rounds + 1) * window, until)
-            inclusive = boundary >= until
-            commands = {
-                region: ("round", rounds, boundary, inclusive,
-                         inject[region])
-                for region in regions
-            }
-            if rounds > 0:
-                # Every region's dispatch waited on all others' previous
-                # round — the full barrier's structural cost.
-                stalls += region_count * (region_count - 1)
-            replies = self._roundtrip(commands)
-            for region in regions:
-                self._history[region].append(commands[region])
-            inject = {r: [] for r in regions}
-            for region in regions:
-                counters = replies[region][3]
-                floors[region] = counters.get("egress_floor", math.inf)
-                region_now = counters["now"]
-                pending_arrivals[region] = [
-                    arrival for arrival in pending_arrivals[region]
-                    if arrival >= region_now]
-                for record in replies[region][2]:
-                    inject[record[2]].append(record)
-            for queue in inject.values():
-                queue.sort(key=_INJECT_KEY)
-            now = boundary
-            rounds += 1
-            if after_round is not None:
-                after_round(self, rounds - 1, now)
-        leftovers = sum(len(queue) for queue in inject.values())
-        return rounds, leftovers, stalls
-
-    # -- overlapped exchange -----------------------------------------------
-
-    def _run_overlapped(self, until: float, window: float, adaptive: bool,
-                        after_round: Callable | None
-                        ) -> tuple[int, int, int]:
-        """Neighborhood-synchronized pipelined rounds.
-
-        Region ``r``'s round ``k`` is dispatched as soon as its boundary
-        neighbors have finished round ``k-1`` (fixed windows), or as
-        soon as the promise-derived safe bound ``LB(r)`` exceeds its
-        clock (adaptive) — no global barrier.  Returns
-        (max region rounds, leftovers, stalls).
+    def _run_rounds(self, until: float, window: float, adaptive: bool,
+                    after_round: Callable | None) -> tuple[int, int, int]:
+        """Dispatch every region round the cadence allows, act on the
+        replies, repeat; returns (max region rounds, leftovers, stalls).
         """
         partition = self.partition
-        region_count = partition.regions
-        regions = list(range(region_count))
+        regions = range(partition.regions)
         neighbors: dict[int, set[int]] = {r: set() for r in regions}
         for boundary in partition.boundaries:
             neighbors[boundary.a_region].add(boundary.b_region)
             neighbors[boundary.b_region].add(boundary.a_region)
         if adaptive:
-            distance = {
-                (s, r): partition.region_distance(s, r)
-                for s in regions for r in regions}
-            # Shortest round trip leaving and re-entering r: bounds how
-            # soon r's own future egress can come back at it.
-            cycle: dict[int, float] = {}
+            # reach[s, r]: least boundary latency between an egress in s
+            # and a new arrival in r — for s == r, the shortest round
+            # trip out of r and back in.
+            reach = {(s, r): partition.region_distance(s, r)
+                     for s in regions for r in regions if s != r}
             for r in regions:
-                legs = [b.latency + distance[(b.peer(r)[0], r)]
-                        for b in partition.boundaries
-                        if r in (b.a_region, b.b_region)]
-                cycle[r] = min(legs) if legs else math.inf
+                reach[r, r] = min(
+                    (b.latency + reach[b.peer(r)[0], r]
+                     for b in partition.boundaries
+                     if r in (b.a_region, b.b_region)),
+                    default=math.inf)
+            # A hop-by-hop arrival rounds once per hop, the summed
+            # distance once per term: they differ by at most a few ulps.
+            margin = 4 * partition.regions * math.ulp(max(until, 1.0))
         committed = {r: 0.0 for r in regions}   # clock after last round
         done = {r: 0 for r in regions}          # completed rounds
         busy: dict[int, tuple] = {}             # region -> in-flight cmd
+        # Last egress-floor promise (0.0 until the first reply: unknown
+        # state must not widen) and injected arrivals not yet executed,
+        # whose re-egress the promise cannot see.
         floors = {r: 0.0 for r in regions}
         pending_arrivals: dict[int, list[float]] = {r: [] for r in regions}
-        # Held boundary tuples: aligned mode buckets them by the round
-        # that must inject them; adaptive mode holds a flat pool per
+        # Held boundary tuples: the fixed cadence buckets them by the
+        # round that must inject them; adaptive holds a flat pool per
         # destination, drained up to each dispatch horizon.
         held_aligned: dict[tuple[int, int], list[tuple]] = {}
         held_adaptive: dict[int, list[tuple]] = {r: [] for r in regions}
         stalls = 0
 
-        def safe_bound(r: int) -> float:
-            """Earliest time a *new* tuple could still arrive in r."""
-            best = math.inf
-            for s in regions:
-                if s == r:
-                    continue
-                if s in busy:
-                    egress_time = committed[s]
-                else:
-                    egress_time = min(
-                        floors[s],
-                        min(pending_arrivals[s], default=math.inf))
-                best = min(best, egress_time + distance[(s, r)])
-                for record in held_adaptive[s]:
-                    best = min(best, record[4] + distance[(s, r)])
-            # r's own future egress can come back at it no sooner than
-            # one full cycle through another region.  That egress fires
-            # at >= the promise floor, a pending injection's arrival, or
-            # a tuple about to be injected this dispatch (held for r).
-            own = min(floors[r],
-                      min(pending_arrivals[r], default=math.inf))
-            for record in held_adaptive[r]:
-                own = min(own, record[4])
-            return min(best, own + cycle[r])
+        def earliest_egress(s: int) -> float:
+            # Busy or idle, s egresses no earlier than this: its promise
+            # covers its own state, the arrivals cover its injections,
+            # and later injections are bounded through other regions.
+            return min(floors[s], min(pending_arrivals[s], default=math.inf),
+                       min((rec[4] for rec in held_adaptive[s]),
+                           default=math.inf))
 
         while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                for r in regions:
-                    if r in busy or committed[r] >= until:
+            for r in regions:
+                if r in busy or committed[r] >= until:
+                    continue
+                k = done[r]
+                if adaptive:
+                    # The earliest time a new tuple could arrive in r.
+                    bound = min(earliest_egress(s) + reach[s, r]
+                                for s in regions)
+                    horizon = min(until, bound - margin)
+                    if horizon <= committed[r]:
                         continue
-                    k = done[r]
-                    if adaptive:
-                        bound = min(until, safe_bound(r))
-                        if bound <= committed[r]:
-                            continue
-                        horizon = bound
-                        pool = held_adaptive[r]
-                        batch = [rec for rec in pool if rec[4] < horizon]
-                        if batch:
-                            held_adaptive[r] = [
-                                rec for rec in pool if rec[4] >= horizon]
-                    else:
-                        if any(done[s] < k for s in neighbors[r]):
-                            continue
-                        horizon = min((k + 1) * window, until)
-                        batch = held_aligned.pop((r, k), [])
-                    batch.sort(key=_INJECT_KEY)
-                    if k > 0:
-                        stalls += len(neighbors[r])
-                    pending_arrivals[r].extend(rec[4] for rec in batch)
-                    command = ("round", k, horizon, horizon >= until,
-                               batch)
-                    busy[r] = command
-                    try:
-                        self._workers[r].send(command)
-                    except OSError:
-                        pass  # dead worker; surfaces in _collect_ready
-                    progressed = True
+                    pool = held_adaptive[r]
+                    batch = [rec for rec in pool if rec[4] < horizon]
+                    if batch:
+                        held_adaptive[r] = [
+                            rec for rec in pool if rec[4] >= horizon]
+                else:
+                    if any(done[s] < k for s in neighbors[r]):
+                        continue
+                    horizon = min((k + 1) * window, until)
+                    batch = held_aligned.pop((r, k), [])
+                batch.sort(key=_INJECT_KEY)
+                if k > 0:
+                    stalls += len(neighbors[r])
+                pending_arrivals[r].extend(rec[4] for rec in batch)
+                self._dispatch(busy, r,
+                               ("round", k, horizon, horizon >= until, batch))
             if not busy:
                 if any(committed[r] < until for r in regions):
                     raise ParallelError(
-                        "overlapped exchange deadlocked: no region "
+                        "round exchange deadlocked: no region "
                         "dispatchable and none busy")
                 break
-            replies = self._collect_ready(busy)
-            for r in sorted(replies):
-                reply = replies[r]
-                if reply[0] == "error":
-                    raise WorkerError(r, reply[2])
-                command = busy.pop(r)
-                self._history[r].append(command)
+            for r, reply in self._collect_ready(busy):
+                self._history[r].append(busy.pop(r))
                 _, k, outbox, counters = reply
-                committed[r] = counters["now"]
+                now = committed[r] = counters["now"]
                 done[r] = k + 1
-                floors[r] = counters.get("egress_floor", math.inf)
-                region_now = counters["now"]
+                floors[r] = counters["egress_floor"]
                 pending_arrivals[r] = [
                     arrival for arrival in pending_arrivals[r]
-                    if arrival >= region_now]
+                    if arrival >= now]
                 for record in outbox:
-                    destination = record[2]
                     if adaptive:
-                        held_adaptive[destination].append(record)
+                        held_adaptive[record[2]].append(record)
                     else:
                         held_aligned.setdefault(
-                            (destination, k + 1), []).append(record)
+                            (record[2], k + 1), []).append(record)
                 if after_round is not None:
-                    after_round(self, k, committed[r])
-        leftovers = (sum(len(v) for v in held_adaptive.values())
-                     if adaptive
-                     else sum(len(v) for v in held_aligned.values()))
+                    after_round(self, k, now)
+        leftovers = sum(map(len, (held_adaptive if adaptive
+                                  else held_aligned).values()))
         return max(done.values()), leftovers, stalls
 
-    def _collect_ready(self, busy: dict[int, tuple]) -> dict[int, tuple]:
-        """Return the replies of every busy region that has one ready,
-        blocking until at least one is (overlapped-mode multiplexing).
+    def _dispatch(self, busy: dict[int, tuple], region: int,
+                  command: tuple) -> None:
+        """Send ``command`` and mark the region busy until it replies."""
+        busy[region] = command
+        try:
+            self._workers[region].send(command)
+        except OSError:
+            pass  # dead worker; revived when _collect_ready reads it
+
+    def _collect_ready(self, busy: dict[int, tuple]
+                       ) -> list[tuple[int, tuple]]:
+        """Return ``(region, reply)`` for every busy region whose reply
+        is ready, in region order, blocking until at least one is.
 
         Inline (and degraded) workers reply synchronously, so their
         replies are always ready.  Process workers are multiplexed with
         :func:`multiprocessing.connection.wait`; between heartbeats dead
-        workers are revived by replay exactly as in barrier mode, and a
-        live-but-silent worker trips the policy's ``reply_timeout``.
+        workers are revived by replay, and a live-but-silent worker trips
+        the policy's ``reply_timeout``.  An error reply raises
+        :class:`~repro.errors.WorkerError`.
         """
         replies: dict[int, tuple] = {}
         process_regions: list[int] = []
@@ -767,7 +647,10 @@ class ParallelSimulation:
                         worker.escalate()
                         replies[region] = self._revive(region,
                                                        busy[region])
-        return replies
+        for region, reply in replies.items():
+            if reply[0] == "error":
+                raise WorkerError(region, reply[2])
+        return sorted(replies.items())
 
     # -- plumbing ----------------------------------------------------------
 
@@ -789,37 +672,6 @@ class ParallelSimulation:
                                    policy=self.supervision)
             for region in regions
         }
-
-    def _roundtrip(self, commands: dict[int, tuple]) -> dict[int, tuple]:
-        """Send every command, gather every reply, reviving dead workers.
-
-        All sends go out before any recv — with the process backend the
-        regions simulate their windows concurrently.
-        """
-        replies: dict[int, tuple] = {}
-        dead: list[int] = []
-        for region, command in commands.items():
-            try:
-                self._workers[region].send(command)
-            except OSError:
-                dead.append(region)
-        for region in commands:
-            if region in dead:
-                continue
-            try:
-                replies[region] = self._workers[region].recv()
-            except (EOFError, OSError):
-                dead.append(region)
-            except WorkerTimeoutError:
-                # recv already escalated the wedged process down; revive
-                # it exactly like a death.
-                dead.append(region)
-        for region in dead:
-            replies[region] = self._revive(region, commands[region])
-        for region, reply in replies.items():
-            if reply[0] == "error":
-                raise WorkerError(region, reply[2])
-        return replies
 
     def _revive(self, region: int, command: tuple) -> tuple:
         """Bring a dead region back, then re-issue the in-flight command.

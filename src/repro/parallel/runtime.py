@@ -8,7 +8,9 @@ hearing from other regions — through exactly one method,
 :meth:`RegionRuntime.run_round`, so the inline and process backends
 execute identical code and produce identical traces.
 
-:func:`worker_main` wraps a runtime in a pipe protocol of plain tuples:
+Both backends speak one protocol of plain tuples, served by
+:meth:`RegionRuntime.handle` (:func:`worker_main` wraps it in a pipe
+loop for the process backend):
 
 ========================================== ==================================
 coordinator → worker                        worker → coordinator
@@ -136,11 +138,31 @@ class RegionRuntime:
                         if self.tracer is not None else []),
         }
 
+    def handle(self, command: tuple) -> tuple:
+        """Execute one coordinator command and return its reply (see the
+        module's protocol table) — the one dispatch both backends share.
+        Any exception becomes an ``("error", region, traceback)`` reply.
+        """
+        try:
+            op = command[0]
+            if op == "round":
+                _, index, horizon, inclusive, injections = command
+                return ("done", index,
+                        *self.run_round(index, horizon, inclusive, injections))
+            if op == "collect":
+                return ("report", self.collect())
+            if op == "stop":
+                return ("bye", self.region)
+            return ("error", self.region, f"unknown command {op!r}")
+        except Exception:
+            return ("error", self.region, traceback.format_exc())
+
 
 def worker_main(conn: Any, region: int, partition: Partition,
                 build_region: RegionBuilder, seed: int,
                 telemetry: dict[str, Any] | None) -> None:
-    """Worker-process loop: build the runtime, serve pipe commands."""
+    """Worker-process loop: build the runtime, serve pipe commands until
+    ``stop``, an error reply, or the coordinator closing the pipe."""
     try:
         runtime = RegionRuntime(region, partition, build_region,
                                 seed=seed, telemetry=telemetry)
@@ -153,22 +175,8 @@ def worker_main(conn: Any, region: int, partition: Partition,
             command = conn.recv()
         except EOFError:  # coordinator went away
             return
-        try:
-            op = command[0]
-            if op == "round":
-                _, index, horizon, inclusive, injections = command
-                outbox, counters = runtime.run_round(
-                    index, horizon, inclusive, injections)
-                conn.send(("done", index, outbox, counters))
-            elif op == "collect":
-                conn.send(("report", runtime.collect()))
-            elif op == "stop":
-                conn.send(("bye", region))
-                conn.close()
-                return
-            else:
-                conn.send(("error", region, f"unknown command {op!r}"))
-        except Exception:
-            conn.send(("error", region, traceback.format_exc()))
+        reply = runtime.handle(command)
+        conn.send(reply)
+        if reply[0] in ("bye", "error"):
             conn.close()
             return

@@ -23,7 +23,7 @@ from array import array
 from repro.errors import NetworkError
 from repro.events import Simulator
 from repro.netsim.message import Message, current_allocator
-from repro.netsim.partition import CompactPartition, Partition, RegionNetwork
+from repro.netsim.partition import Partition, RegionNetwork
 
 #: Endpoint every leaf exposes; deliveries are observed through
 #: ``NetworkStats.delivered`` rather than per-message callbacks.
@@ -129,8 +129,8 @@ def leaf_index(name: str) -> int:
 class _StarRingResolver:
     """Picklable node→region formula for systematic star-ring names.
 
-    ``hub3`` → 3, ``n3_1417`` → 3, anything else → ``None`` (falls back
-    to the partition's explicit assignments).
+    ``hub3`` → 3, ``n3_1417`` → 3, anything else → ``None`` (the node
+    is unassigned unless the partition assigns it explicitly).
     """
 
     __slots__ = ("regions",)
@@ -154,13 +154,13 @@ class _StarRingResolver:
 def lean_star_partition(regions: int = 4,
                         boundary_latency: float = 0.01,
                         boundary_bandwidth: float = 1_000_000.0
-                        ) -> CompactPartition:
+                        ) -> Partition:
     """Star-ring partition whose node→region map is a name formula.
 
     Memory is O(regions) regardless of how many leaves each region
     holds; :func:`build_lean_star_region` decides the actual leaf count.
     """
-    partition = CompactPartition(regions, _StarRingResolver(regions))
+    partition = Partition(regions, resolver=_StarRingResolver(regions))
     if regions > 1:
         for region in range(regions):
             peer = (region + 1) % regions
@@ -199,9 +199,8 @@ class LeanStarRegion(RegionNetwork):
     (mod-2^64 sum) fold of ``(delivery time, origin region, message id,
     leaf)`` over all deliveries.  Because each message's delivery *time*
     is a pure function of the workload (never of round structure), the
-    digest is identical across inline/barrier/overlapped backends and
-    across adaptive horizon widening, even where trace record *order*
-    differs.
+    digest is identical across backends and across adaptive horizon
+    widening, even where trace record *order* differs.
     """
 
     def __init__(self, sim: Simulator, partition: Partition, region: int,

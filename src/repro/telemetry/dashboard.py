@@ -136,15 +136,8 @@ class Dashboard:
                 "restarts": bench.get("restart", {}).get("restarts"),
                 "deterministic":
                     all(bench.get("determinism", {}).values()),
+                "sync_stalls": parallel.get("sync_stalls"),
             }
-            overlapped = bench.get("overlapped")
-            if overlapped:
-                # The overlapped exchange's stall count is the committed
-                # claim; the barrier's rides along as the baseline.
-                entry["parallel"]["sync_stalls"] = \
-                    overlapped.get("sync_stalls")
-                entry["parallel"]["barrier_sync_stalls"] = \
-                    parallel.get("sync_stalls")
         memory = bench.get("memory")
         if memory:
             entry["memory"] = {

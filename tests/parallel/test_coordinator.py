@@ -17,6 +17,7 @@ from repro.errors import ParallelError, WorkerError
 from repro.netsim import Partition
 from repro.parallel import (
     ParallelSimulation,
+    RegionRuntime,
     build_star_region,
     star_ring_partition,
 )
@@ -134,10 +135,16 @@ class TestDeterminism:
 
 
 class TestSupervision:
+    # after_round fires once per region round, so every hook below is
+    # one-shot: it acts the first time it sees its round index.
+
     def test_killed_worker_is_revived_with_identical_checksum(
             self, inline_result):
+        killed = []
+
         def chaos(psim, round_index, now):
-            if round_index == 3:
+            if round_index == 3 and not killed:
+                killed.append(round_index)
                 psim.kill_worker(2)
 
         result = make_sim().run(until=UNTIL, backend="process",
@@ -147,11 +154,15 @@ class TestSupervision:
         assert result.executed == inline_result.executed
 
     def test_kill_during_final_collect_is_survived(self, inline_result):
-        total_rounds = inline_result.rounds
+        last = []
 
         def chaos(psim, round_index, now):
-            if round_index == total_rounds - 1:
-                psim.kill_worker(0)
+            # Kill once every region has finished its last round, so the
+            # worker dies between the rounds and the final collect.
+            if round_index == inline_result.rounds - 1:
+                last.append(round_index)
+                if len(last) == REGIONS:
+                    psim.kill_worker(0)
 
         result = make_sim().run(until=UNTIL, backend="process",
                                 after_round=chaos)
@@ -159,8 +170,11 @@ class TestSupervision:
         assert result.checksum == inline_result.checksum
 
     def test_multiple_kills(self, inline_result):
+        killed = set()
+
         def chaos(psim, round_index, now):
-            if round_index in (1, 5):
+            if round_index in (1, 5) and round_index not in killed:
+                killed.add(round_index)
                 psim.kill_worker(round_index % REGIONS)
 
         result = make_sim().run(until=UNTIL, backend="process",
@@ -186,6 +200,21 @@ class TestSupervision:
         with pytest.raises(WorkerError) as excinfo:
             psim.run(until=1.0, backend="inline")
         assert "boom in region build" in str(excinfo.value)
+
+
+class TestProtocol:
+    def test_runtime_serves_every_command_for_both_backends(self):
+        runtime = RegionRuntime(0, star_ring_partition(2, leaves=2),
+                                partial(build_star_region, leaves=2,
+                                        messages=4, until=1.0), seed=3)
+        op, index, outbox, counters = runtime.handle(
+            ("round", 0, 0.5, False, []))
+        assert (op, index, counters["now"]) == ("done", 0, 0.5)
+        assert runtime.handle(("collect",))[0] == "report"
+        assert runtime.handle(("warp",))[:2] == ("error", 0)
+        # A malformed command comes back as a traceback, not a raise.
+        assert "Traceback" in runtime.handle(("round", 1))[2]
+        assert runtime.handle(("stop",)) == ("bye", 0)
 
 
 class TestResultSurface:

@@ -1,21 +1,23 @@
-"""Overlapped outbox exchange: pipelined rounds, identical simulation.
+"""Neighbour-gated exchange: pipelined rounds, identical simulation.
 
 The tentpole guarantees under test:
 
-* overlapped mode produces the **byte-identical** merged telemetry
-  checksum as barrier mode and the single-shard baseline — per-region
+* the coordinator's one engine produces the **byte-identical** merged
+  telemetry checksum of a lock-step reference exchange
+  (:mod:`tests.parallel.lockstep`) on both backends — per-region
   horizons and injection order are the same by construction, only the
   *waiting* changes;
-* it executes strictly fewer synchronization stalls (each region gates
-  only on its boundary neighbors, not on a global barrier);
-* supervision still holds: a worker SIGKILLed mid-run under overlapped
-  exchange is revived by deterministic replay with the checksum
-  unchanged.
+* it charges strictly fewer synchronization stalls than a full barrier
+  would (each region gates only on its boundary neighbors);
+* supervision still holds: a worker SIGKILLed mid-run is revived by
+  deterministic replay with the checksum unchanged.
 """
 
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParallelError
 from repro.parallel import (
@@ -23,6 +25,8 @@ from repro.parallel import (
     build_star_region,
     star_ring_partition,
 )
+
+from tests.parallel.lockstep import lockstep
 
 REGIONS = 4
 LEAVES = 3
@@ -40,68 +44,82 @@ def make_sim(seed=11):
 
 
 @pytest.fixture(scope="module")
-def baseline():
+def reference():
+    checksum, rounds, reports = lockstep(
+        star_ring_partition(REGIONS, leaves=LEAVES), BUILD, UNTIL,
+        seed=11, telemetry=TELEMETRY)
+    return {"checksum": checksum, "rounds": rounds, "reports": reports}
+
+
+@pytest.fixture(scope="module")
+def inline_run():
     return make_sim().run(until=UNTIL, backend="inline")
 
 
 @pytest.fixture(scope="module")
-def overlapped_inline():
-    return make_sim().run(until=UNTIL, backend="inline", mode="overlapped")
-
-
-@pytest.fixture(scope="module")
-def overlapped_process():
+def process_run():
+    # The benchmark names the exchange; that spelling must keep working.
     return make_sim().run(until=UNTIL, backend="process", mode="overlapped")
 
 
 class TestTraceEquality:
-    def test_inline_overlapped_matches_barrier(self, baseline,
-                                               overlapped_inline):
-        assert overlapped_inline.checksum == baseline.checksum
-        assert overlapped_inline.executed == baseline.executed
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @given(regions=st.integers(2, 5), leaves=st.integers(1, 4),
+           messages=st.integers(0, 80),
+           cross_fraction=st.sampled_from([0.0, 0.1, 0.3, 0.8]),
+           seed=st.integers(0, 2**16))
+    @example(regions=2, leaves=3, messages=80, cross_fraction=0.3, seed=5)
+    @settings(max_examples=12, deadline=None)
+    def test_fixed_cadence_matches_lockstep_reference(
+            self, backend, regions, leaves, messages, cross_fraction, seed):
+        build = partial(build_star_region, leaves=leaves,
+                        messages=messages, until=1.0,
+                        cross_fraction=cross_fraction)
+        checksum, _, reports = lockstep(
+            star_ring_partition(regions, leaves=leaves), build, 1.0,
+            seed=seed, telemetry=TELEMETRY)
+        result = ParallelSimulation(
+            star_ring_partition(regions, leaves=leaves), build,
+            seed=seed, telemetry=TELEMETRY).run(1.0, backend=backend)
+        assert result.checksum == checksum
+        assert result.executed == sum(
+            report["executed"] for report in reports.values())
 
-    def test_process_overlapped_matches_barrier(self, baseline,
-                                                overlapped_process):
-        assert overlapped_process.checksum == baseline.checksum
-        assert overlapped_process.executed == baseline.executed
-
-    def test_same_round_structure(self, baseline, overlapped_inline):
-        # Non-adaptive overlapped keeps the barrier's exact per-region
+    def test_same_round_structure(self, reference, inline_run):
+        # The fixed cadence keeps the reference's exact per-region
         # window formula; only the dispatch gating differs.
-        assert overlapped_inline.rounds == baseline.rounds
+        assert inline_run.rounds == reference["rounds"]
+        assert inline_run.checksum == reference["checksum"]
 
-    def test_stats_identical(self, baseline, overlapped_process):
+    def test_stats_identical(self, reference, process_run):
+        assert process_run.checksum == reference["checksum"]
         for key in ("sent", "delivered", "dropped", "forwarded_out",
                     "ingressed"):
-            assert overlapped_process.stat(key) == baseline.stat(key), key
+            expected = sum(report["stats"][key]
+                           for report in reference["reports"].values())
+            assert process_run.stat(key) == expected, key
 
 
 class TestStalls:
-    def test_overlapped_stalls_strictly_below_barrier(self, baseline,
-                                                      overlapped_inline):
-        # Barrier: every region waits on every other region each round.
-        # Overlapped: every region waits only on its ring neighbors.
-        assert 0 < overlapped_inline.sync_stalls < baseline.sync_stalls
+    def test_stalls_strictly_below_a_full_barrier(self, inline_run):
+        # A full barrier makes every region wait on every other region
+        # each round after the first; gating waits only on ring
+        # neighbors.
+        barrier = REGIONS * (REGIONS - 1) * (inline_run.rounds - 1)
+        assert 0 < inline_run.sync_stalls < barrier
 
-    def test_stall_counts_are_structural(self, overlapped_inline,
-                                         overlapped_process):
+    def test_stall_counts_are_structural(self, inline_run, process_run):
         # The metric counts dependency edges, not wall time, so it is
-        # identical across backends for the same mode.
-        assert overlapped_inline.sync_stalls \
-            == overlapped_process.sync_stalls
-
-    def test_result_records_mode(self, baseline, overlapped_inline):
-        assert baseline.mode == "barrier"
-        assert overlapped_inline.mode == "overlapped"
-        assert overlapped_inline.adaptive is False
+        # identical across backends.
+        assert inline_run.sync_stalls == process_run.sync_stalls
 
 
 class TestSupervisionUnderOverlap:
-    # Overlapped mode calls after_round once per *region* dispatch, not
-    # once per global round, so a chaos hook keyed on the round index
-    # alone would kill the worker once per region — make it one-shot.
+    # after_round fires once per *region* round, not once per global
+    # round, so a chaos hook keyed on the round index alone would kill
+    # the worker once per region — make it one-shot.
 
-    def test_killed_worker_replays_to_identical_checksum(self, baseline):
+    def test_killed_worker_replays_to_identical_checksum(self, reference):
         killed = []
 
         def chaos(psim, round_index, now):
@@ -110,39 +128,32 @@ class TestSupervisionUnderOverlap:
                 psim.kill_worker(2)
 
         result = make_sim().run(until=UNTIL, backend="process",
-                                mode="overlapped", after_round=chaos)
+                                after_round=chaos)
         assert result.restarts == 1
-        assert result.checksum == baseline.checksum
+        assert result.checksum == reference["checksum"]
 
-    def test_kill_near_the_end(self, baseline):
+    def test_kill_near_the_end(self, reference):
         killed = []
 
         def chaos(psim, round_index, now):
-            if round_index == baseline.rounds - 2 and not killed:
+            if round_index == reference["rounds"] - 2 and not killed:
                 killed.append(round_index)
                 psim.kill_worker(0)
 
         result = make_sim().run(until=UNTIL, backend="process",
-                                mode="overlapped", after_round=chaos)
+                                after_round=chaos)
         assert result.restarts == 1
-        assert result.checksum == baseline.checksum
+        assert result.checksum == reference["checksum"]
 
 
 class TestArguments:
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["psychic", "barrier"])
+    def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ParallelError):
-            make_sim().run(until=UNTIL, backend="inline", mode="psychic")
+            make_sim().run(until=UNTIL, backend="inline", mode=mode)
 
-    def test_two_region_overlap(self):
-        # Two regions share one boundary; neighbor-gating degenerates to
-        # the barrier but must still run to completion and match.
-        build = partial(build_star_region, leaves=LEAVES, messages=80,
-                        until=UNTIL, cross_fraction=0.3)
-        partition = star_ring_partition(2, leaves=LEAVES)
-        base = ParallelSimulation(partition, build, seed=5,
-                                  telemetry=TELEMETRY).run(
-            until=UNTIL, backend="inline")
-        over = ParallelSimulation(star_ring_partition(2, leaves=LEAVES),
-                                  build, seed=5, telemetry=TELEMETRY).run(
-            until=UNTIL, backend="inline", mode="overlapped")
-        assert over.checksum == base.checksum
+    def test_adaptive_rejects_a_fixed_horizon(self):
+        psim = make_sim()
+        with pytest.raises(ParallelError):
+            psim.run(until=UNTIL, backend="inline", adaptive=True,
+                     horizon=psim.partition.lookahead / 2)

@@ -67,6 +67,20 @@ class TestPartition:
         assert partition.region_of("a") == 0
         assert partition.nodes_in(1) == ["b"]
 
+    def test_resolver_answers_after_explicit_assignments(self):
+        partition = Partition(
+            2, resolver=lambda node: 1 if node.startswith("r1") else None)
+        partition.assign("r1_gateway", 0)
+        assert partition.region_of("r1_gateway") == 0
+        assert partition.region_of("r1_leaf") == 1
+        with pytest.raises(NetworkError):
+            partition.region_of("elsewhere")
+        partition.add_boundary("r1_gateway", "r1_leaf", latency=0.01)
+        # Region 1 has no explicit nodes: its population is the
+        # resolver's contract, so validation checks reachability only.
+        assert partition.nodes_in(1) == []
+        partition.validate()
+
     def test_unassigned_node_raises(self):
         partition = Partition(1)
         with pytest.raises(NetworkError):

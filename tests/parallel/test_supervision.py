@@ -65,8 +65,12 @@ class TestBackoffPolicy:
 
 class TestRevival:
     def test_revival_is_recorded_in_the_result(self):
+        killed = []
+
         def chaos(psim, round_index, now):
-            if round_index == 1:
+            # after_round fires once per region round: kill only once.
+            if round_index == 1 and not killed:
+                killed.append(round_index)
                 psim.kill_worker(1)
 
         baseline = make_sim().run(until=UNTIL, backend="inline")
@@ -90,7 +94,10 @@ class TestRevival:
 class TestDegradation:
     @staticmethod
     def _chaos_with_unrevivable_worker(psim, round_index, now):
-        if round_index == 1:
+        # One-shot: after_round fires once per region round, and the
+        # degraded inline worker that replaces this one cannot be killed.
+        if round_index == 1 and isinstance(psim._workers[1],
+                                           _ProcessWorker):
             worker = psim._workers[1]
             worker.kill()
 

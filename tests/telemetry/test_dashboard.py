@@ -50,6 +50,17 @@ class TestDashboard:
         assert entry["netsim"]["overhead_pct_sampled"] == 4.0
         assert entry["categories"]["connector"]["spans"] == 10
 
+    def test_parallel_stalls_come_from_the_process_run(self):
+        doc = {"mode": "full", "cores": 2, "speedup": 0.9,
+               "parallel": {"events_per_sec": 1e5, "sync_stalls": 1592},
+               "single_shard": {"events_per_sec": 1.1e5},
+               "restart": {"restarts": 1},
+               "determinism": {"backends_match": True}}
+        parallel = Dashboard.entry_from_bench(doc, "par")["parallel"]
+        assert parallel["sync_stalls"] == 1592
+        assert parallel["deterministic"] is True
+        assert parallel["restarts"] == 1
+
     def test_round_trip_jsonl(self, tmp_path):
         dash = Dashboard()
         dash.add(Dashboard.entry_from_bench(bench_doc(), "PR2"))
