@@ -30,12 +30,11 @@ from typing import Any, Iterable, Protocol, runtime_checkable
 from repro.errors import StoreError
 
 
-def canonical_json(record: dict[str, Any]) -> str:
-    """Serialize a record deterministically (sorted keys, no whitespace
-    drift) — the byte form checksums and audit diffs rely on."""
+def canonical_json(record: Any) -> str:
+    """Serialize a JSON value deterministically (sorted keys, no
+    whitespace drift) — the byte form checksums and audit diffs rely on."""
     try:
-        return json.dumps(record, sort_keys=True, separators=(",", ":"),
-                          default=_fallback)
+        return _ENCODER.encode(record)
     except (TypeError, ValueError) as exc:
         raise StoreError(f"record is not serializable: {exc}") from exc
 
@@ -46,6 +45,12 @@ def _fallback(value: Any) -> Any:
     if isinstance(value, tuple):
         return list(value)
     return str(value)
+
+
+#: The encoder ``json.dumps`` would build on every call with these
+#: arguments; ``encode`` keeps no state between calls, so one is shared.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=_fallback)
 
 
 @runtime_checkable

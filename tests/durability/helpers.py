@@ -9,7 +9,13 @@ copy of the canonical crash-matrix transaction (one structural add, one
 strong replacement with state transfer).
 """
 
-from repro.durability import WriteAheadLog, assembly_checksum
+from repro.durability import (
+    CLEAN,
+    ROLL_BACK,
+    ROLL_FORWARD,
+    WriteAheadLog,
+    assembly_checksum,
+)
 from repro.events import Simulator
 from repro.injectors import SimulatedCrash
 from repro.kernel import Assembly
@@ -59,6 +65,18 @@ def build_changes(assembly):
 #: in journal order (two changes → two apply points).
 FORWARD_POINTS = ("intent", "quiesce", "apply:0", "apply:1",
                   "commit", "post-commit")
+
+
+def expected_mode(point, when):
+    """The recovery mode a crash at ``point`` (``when`` the append) must
+    lead to: roll forward exactly when the commit marker was durable."""
+    if point == "intent" and when == "before":
+        return CLEAN  # nothing durable: the transaction never existed
+    committed = (
+        (point == "commit" and when == "after")
+        or point == "post-commit"
+    )
+    return ROLL_FORWARD if committed else ROLL_BACK
 
 
 def pre_checksum():

@@ -27,6 +27,7 @@ from tests.durability.helpers import (
     FORWARD_POINTS,
     build_assembly,
     build_changes,
+    expected_mode,
     post_checksum,
     pre_checksum,
     run_journaled,
@@ -38,16 +39,6 @@ MATRIX = [
     for point in FORWARD_POINTS
     for when in ("before", "after")
 ]
-
-
-def expected_mode(point, when):
-    if point == "intent" and when == "before":
-        return CLEAN  # nothing durable: the transaction never existed
-    committed = (
-        (point == "commit" and when == "after")
-        or point == "post-commit"
-    )
-    return ROLL_FORWARD if committed else ROLL_BACK
 
 
 def make_store(backend, tmp_path):
