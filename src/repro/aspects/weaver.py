@@ -16,18 +16,18 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import AspectError
-from repro.kernel.component import Component, Invocation, ProvidedPort
+from repro.kernel.component import Component, Invocation, ProvidedPort, run_chain
 from repro.aspects.aspect import Advice, AdviceKind, Aspect, JoinPoint, join_points_of
 
 
 def _execute(pieces: list[tuple[Any, Advice]], invocation: Invocation,
-             proceed: Callable[[Invocation], Any],
-             check_condition: bool) -> Any:
-    """Run the advice stack around ``proceed``."""
+             proceed: Callable[[Invocation], Any]) -> Any:
+    """Run the advice stack whose pointcuts admit ``invocation`` around
+    ``proceed``."""
     active = [
         (pointcut, advice)
         for pointcut, advice in pieces
-        if not check_condition or pointcut.admits(invocation)
+        if pointcut.admits(invocation)
     ]
 
     befores = [a for _p, a in active if a.kind is AdviceKind.BEFORE]
@@ -35,17 +35,10 @@ def _execute(pieces: list[tuple[Any, Advice]], invocation: Invocation,
     arounds = [a for _p, a in active if a.kind is AdviceKind.AROUND]
     handlers = [a for _p, a in active if a.kind is AdviceKind.ON_ERROR]
 
-    def core(inv: Invocation, _position: int = 0) -> Any:
-        if _position < len(arounds):
-            return arounds[_position].body(
-                inv, lambda inner: core(inner, _position + 1)
-            )
-        return proceed(inv)
-
     for advice in befores:
         advice.body(invocation)
     try:
-        result = core(invocation)
+        result = run_chain([a.body for a in arounds], invocation, proceed)
     except Exception as exc:  # noqa: BLE001 - on_error advice may recover
         for advice in handlers:
             return advice.body(invocation, exc)
@@ -155,7 +148,7 @@ class Weaver:
                 pieces = aspect.pieces_for(join_point)
                 if not pieces:
                     return proceed(invocation)
-                return _execute(pieces, invocation, proceed, check_condition=True)
+                return _execute(pieces, invocation, proceed)
 
             return dynamic_interceptor
 
@@ -172,7 +165,7 @@ class Weaver:
             pieces = table.get(invocation.operation)
             if pieces is None:
                 return proceed(invocation)
-            return _execute(pieces, invocation, proceed, check_condition=True)
+            return _execute(pieces, invocation, proceed)
 
         return static_interceptor
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConnectorError, RoleError
-from repro.kernel.component import Interceptor, Invocable, Invocation
+from repro.kernel.component import Interceptor, Invocable, Invocation, run_chain
 from repro.kernel.interface import Interface
 from repro.connectors.roles import Role, RoleKind
 
@@ -202,17 +202,9 @@ class Connector:
         self.stats.by_role[role_name] = self.stats.by_role.get(role_name, 0) + 1
         self._notify("before", role_name, invocation, None)
 
-        chain = list(self.interceptors)
-
-        def proceed(inv: Invocation, _position: int = 0) -> Any:
-            if _position < len(chain):
-                return chain[_position](
-                    inv, lambda inner: proceed(inner, _position + 1)
-                )
-            return self.route(role, inv)
-
         try:
-            result = proceed(invocation)
+            result = run_chain(self.interceptors, invocation,
+                               lambda inv: self.route(role, inv))
         except Exception as exc:
             self.stats.errors += 1
             self._notify("error", role_name, invocation, exc)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import FilterError
-from repro.kernel.component import Invocation
+from repro.kernel.component import Invocation, run_chain
 from repro.filters.filter import Filter
 
 
@@ -64,18 +64,18 @@ class FilterSet:
     # -- execution ----------------------------------------------------------
 
     def interceptor(self) -> Callable[[Invocation, Callable], Any]:
-        """Compile the filter stack into one interceptor."""
+        """Compile the filter stack into one interceptor.
 
-        def run(invocation: Invocation, proceed: Callable[[Invocation], Any],
-                _position: int = 0) -> Any:
-            if _position < len(self.filters):
-                return self.filters[_position].apply(
-                    invocation,
-                    lambda inner: run(inner, proceed, _position + 1),
-                )
-            return proceed(invocation)
+        The stack is live between calls and fixed within one: each call
+        runs the filters present when it entered the set, also when a
+        :class:`~repro.filters.filter.WaitFilter` replays it later.
+        """
 
-        run.filter_set = self  # type: ignore[attr-defined]
+        def run(invocation: Invocation,
+                proceed: Callable[[Invocation], Any]) -> Any:
+            return run_chain([f.apply for f in self.filters], invocation,
+                             proceed)
+
         return run
 
     # -- dynamic attachment -------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.kernel.component import (
     Invocable,
     Invocation,
     ProvidedPort,
+    run_chain,
 )
 from repro.kernel.interface import Interface
 from repro.lts.lts import Lts
@@ -202,16 +203,7 @@ class CompositionFramework:
                                 invocation: Invocation) -> Any:
         invocation.meta.setdefault("framework", self.name)
         invocation.meta["slot"] = slot_name
-        chain = list(self._aspects.values())
-
-        def proceed(inv: Invocation, _position: int = 0) -> Any:
-            if _position < len(chain):
-                return chain[_position](
-                    inv, lambda inner: proceed(inner, _position + 1)
-                )
-            return port.invoke(inv)
-
-        return proceed(invocation)
+        return run_chain(self._aspects.values(), invocation, port.invoke)
 
     # -- introspection ----------------------------------------------------------------
 

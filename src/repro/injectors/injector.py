@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import InjectorError
 from repro.kernel.binding import Binding
-from repro.kernel.component import Invocable, Invocation
+from repro.kernel.component import Invocable, Invocation, run_chain
 from repro.kernel.interface import Interface
 
 
@@ -117,16 +117,8 @@ class _InjectedTarget:
         return self._original
 
     def invoke(self, invocation: Invocation) -> Any:
-        stack = list(self.injectors)
-
-        def deliver(inv: Invocation, _position: int = 0) -> Any:
-            if _position < len(stack):
-                return stack[_position].handle(
-                    inv, lambda inner: deliver(inner, _position + 1)
-                )
-            return self._original.invoke(inv)
-
-        return deliver(invocation)
+        return run_chain([i.handle for i in self.injectors], invocation,
+                         self._original.invoke)
 
 
 #: Predicate selecting which bindings an injection applies to.

@@ -16,6 +16,7 @@ from repro.kernel.component import (
     Observer,
     ProvidedPort,
     RequiredPort,
+    run_chain,
 )
 from repro.kernel.container import Container
 from repro.kernel.descriptor import DeploymentDescriptor, PlacementConstraint
@@ -54,4 +55,5 @@ __all__ = [
     "Version",
     "bind",
     "interface_of",
+    "run_chain",
 ]

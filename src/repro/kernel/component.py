@@ -12,8 +12,11 @@ Every call flows through an invocation pipeline on the provided port:
 
 The interceptor chain is the single extension point the adaptation
 mechanisms share: composition filters, aspects, injectors and container
-policies all attach here.  Observers on the port provide the
-*introspection* stream the paper's RAML consumes.
+policies all attach here.  Every chain on the platform, on ports,
+connectors, frameworks, ORBs, filter sets, meta-object chains, around
+advice and injected channels, runs through :func:`run_chain`, which
+fixes the chain when a call enters it.  Observers on the port provide
+the *introspection* stream the paper's RAML consumes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Reversible
 
 from repro.errors import ComponentError, InterfaceError
 from repro.kernel.interface import Interface
@@ -59,6 +62,26 @@ class Invocation:
 
 #: An interceptor wraps the rest of the pipeline: fn(invocation, proceed).
 Interceptor = Callable[[Invocation, Callable[[Invocation], Any]], Any]
+
+
+def run_chain(chain: Reversible[Callable[[Any, Callable[[Any], Any]], Any]],
+              invocation: Any, terminal: Callable[[Any], Any]) -> Any:
+    """Run ``invocation`` through each ``fn(invocation, proceed)`` of
+    ``chain`` in order, then ``terminal``; return what the chain returns.
+
+    ``chain`` is read once, on entry: an interceptor added or removed
+    while a call is in flight takes effect from the next call, also for
+    a ``proceed`` kept and resumed later.  An interceptor may rewrite the
+    invocation, return without calling ``proceed``, or call it again.
+    """
+    # Back to front, each continuation holding the next one as a default
+    # argument: no closure refers to itself, so a call leaves no cycle
+    # for the cyclic garbage collector.
+    proceed = terminal
+    for fn in reversed(chain):
+        proceed = lambda inv, _f=fn, _p=proceed: _f(inv, _p)  # noqa: E731
+    return proceed(invocation)
+
 
 #: Observers see (phase, invocation, payload) where phase is
 #: "before" (payload None), "after" (payload result) or "error" (payload exc).
@@ -142,19 +165,12 @@ class ProvidedPort:
         self.component.lifecycle.require(LifecycleState.ACTIVE)
         self.call_count += 1
         self._notify("before", invocation, None)
-
-        chain = list(self.interceptors)
-
-        def proceed(inv: Invocation, _position: int = 0) -> Any:
-            if _position < len(chain):
-                return chain[_position](
-                    inv, lambda inner: proceed(inner, _position + 1)
-                )
-            return self.component.dispatch(self.name, inv)
-
         self.component._active_calls += 1
         try:
-            result = proceed(invocation)
+            result = run_chain(
+                self.interceptors, invocation,
+                lambda inv: self.component.dispatch(self.name, inv),
+            )
         except Exception as exc:
             self.error_count += 1
             self._notify("error", invocation, exc)
@@ -185,20 +201,6 @@ class RequiredPort:
     def is_bound(self) -> bool:
         return self.binding is not None
 
-    def _through_interceptors(self, invocation: Invocation) -> Any:
-        chain = list(self.interceptors)
-
-        def proceed(inv: Invocation, _position: int = 0) -> Any:
-            if _position < len(chain):
-                return chain[_position](
-                    inv, lambda inner: proceed(inner, _position + 1)
-                )
-            return self.binding.call(
-                inv.operation, *inv.args, caller=self.component.name, **inv.kwargs
-            )
-
-        return proceed(invocation)
-
     def call(self, operation: str, *args: Any, **kwargs: Any) -> Any:
         """Synchronous call through output interceptors and the binding."""
         if self.binding is None:
@@ -209,8 +211,14 @@ class RequiredPort:
             return self.binding.call(
                 operation, *args, caller=self.component.name, **kwargs
             )
-        return self._through_interceptors(Invocation(operation, args, kwargs,
-                                                     caller=self.component.name))
+        return run_chain(
+            self.interceptors,
+            Invocation(operation, args, kwargs, caller=self.component.name),
+            lambda inv: self.binding.call(
+                inv.operation, *inv.args, caller=self.component.name,
+                **inv.kwargs,
+            ),
+        )
 
     def call_async(
         self,

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Sequence
 import networkx as nx
 
 from repro.errors import ChainOrderError, MetaObjectError
-from repro.kernel.component import Invocation
+from repro.kernel.component import Invocation, run_chain
 from repro.metaobjects.metaobject import MetaObject
 
 
@@ -167,18 +167,12 @@ class MetaChain:
     # -- execution ----------------------------------------------------------
 
     def interceptor(self) -> Callable[[Invocation, Callable], Any]:
-        """Compile the chain into a single interceptor (live view)."""
+        """Compile the chain into a single interceptor (live view: each
+        call runs the order in force when it entered the chain)."""
 
-        def run(invocation: Invocation, proceed: Callable[[Invocation], Any],
-                _position: int = 0, _snapshot: list[MetaObject] | None = None
-                ) -> Any:
-            chain = self._ordered if _snapshot is None else _snapshot
-            if _position < len(chain):
-                return chain[_position].apply(
-                    invocation,
-                    lambda inner: run(inner, proceed, _position + 1, chain),
-                )
-            return proceed(invocation)
+        def run(invocation: Invocation,
+                proceed: Callable[[Invocation], Any]) -> Any:
+            return run_chain([m.apply for m in self._ordered], invocation,
+                             proceed)
 
-        run.meta_chain = self  # type: ignore[attr-defined]
         return run

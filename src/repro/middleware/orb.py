@@ -19,7 +19,7 @@ from typing import Any, Callable
 from repro.errors import MiddlewareError, RequestError
 from repro.errors import TimeoutError as OrbTimeoutError
 from repro.events import Timer
-from repro.kernel.component import Invocation, ProvidedPort
+from repro.kernel.component import Invocation, ProvidedPort, run_chain
 from repro.netsim.message import Message
 from repro.netsim.network import Network
 from repro.netsim.node import Node
@@ -155,19 +155,8 @@ class Orb:
         def transmit(ctx: RequestContext) -> None:
             self._transmit(ctx, on_result, on_error, effective_timeout, retries)
 
-        self._run_chain(self.client_interceptors, context, transmit)
+        run_chain(self.client_interceptors, context, transmit)
         return context.request_id
-
-    def _run_chain(self, chain: list[RequestInterceptor],
-                   context: RequestContext,
-                   terminal: Callable[[RequestContext], None]) -> None:
-        def step(ctx: RequestContext, position: int = 0) -> None:
-            if position < len(chain):
-                chain[position](ctx, lambda inner: step(inner, position + 1))
-            else:
-                terminal(ctx)
-
-        step(context)
 
     def _transmit(self, context: RequestContext,
                   on_result: Callable[[Any], None] | None,
@@ -258,7 +247,7 @@ class Orb:
 
             self.sim.schedule(finish, delay=delay)
 
-        self._run_chain(self.server_interceptors, context, dispatch)
+        run_chain(self.server_interceptors, context, dispatch)
 
     def _reply(self, request: Message, kind: str, body: Any) -> None:
         reply = request.reply_to(payload=(kind, body),
