@@ -166,3 +166,14 @@ def test_f1_figure1_loop(benchmark):
     assert result["availability"] > 0.5
     assert result["rendered_by_standby"] > 0
     assert result["health"]["reconfigurations"] >= 1
+    # The exact witness: the scenario is deterministic, so any change to
+    # what RAML observes or when it reacts moves one of these values.
+    delays = {arrow: at - FAULT_AT for arrow, at in timeline.items()}
+    assert delays == pytest.approx({"first_evidence": 0.0, "adaptation": 0.25,
+                                    "intercession": 0.50, "recovered": 0.55},
+                                   abs=1e-9)
+    assert result["availability"] == pytest.approx(109 / 120, abs=1e-9)
+    assert result["events_observed"] == 624
+    health = result["health"]
+    assert (health["sweeps"], health["adaptations"],
+            health["reconfigurations"]) == (24, 2, 1)

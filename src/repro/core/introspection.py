@@ -10,9 +10,10 @@ bindings, the registry and the network, normalises everything into
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Any, Callable
+from itertools import islice
+from typing import Any, Callable, NamedTuple
 
 from repro.events import Simulator
 from repro.kernel.binding import Binding
@@ -21,8 +22,7 @@ from repro.kernel.registry import Registry
 from repro.netsim.network import Network
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
+class ObservationEvent(NamedTuple):
     """One normalised introspection record."""
 
     time: float
@@ -32,6 +32,9 @@ class ObservationEvent:
     details: tuple = ()
 
 
+_PHASE_KINDS = {"before": "call", "after": "return", "error": "error"}
+
+
 class IntrospectionHub:
     """Collects and fans out observation events."""
 
@@ -39,61 +42,66 @@ class IntrospectionHub:
         self.sim = sim
         self.events: deque[ObservationEvent] = deque(maxlen=buffer_size)
         self.counts: Counter[str] = Counter()
-        self.subscribers: list[Callable[[ObservationEvent], None]] = []
-        self._tapped: set[int] = set()
+        self.subscribers: tuple[Callable[[ObservationEvent], None], ...] = ()
+        self._tapped: weakref.WeakSet[Any] = weakref.WeakSet()
 
     def emit(self, source: str, kind: str, operation: str = "",
              details: tuple = ()) -> None:
         event = ObservationEvent(self.sim.now, source, kind, operation, details)
         self.events.append(event)
         self.counts[kind] += 1
-        for subscriber in list(self.subscribers):
+        for subscriber in self.subscribers:
             subscriber(event)
 
     def subscribe(self, subscriber: Callable[[ObservationEvent], None]) -> None:
-        self.subscribers.append(subscriber)
+        self.subscribers = (*self.subscribers, subscriber)
 
     # -- taps -----------------------------------------------------------------
 
+    def _first_tap(self, target: Any) -> bool:
+        """True the first time ``target`` is tapped.  Targets are held
+        weakly: a new object at a freed one's address is a new target."""
+        if target in self._tapped:
+            return False
+        self._tapped.add(target)
+        return True
+
     def tap_port(self, port: ProvidedPort) -> None:
         """Observe every call phase on a provided port."""
-        if id(port) in self._tapped:
+        if not self._first_tap(port):
             return
-        self._tapped.add(id(port))
         source = f"port:{port.qualified_name}"
 
         def observer(phase: str, invocation: Invocation, payload: Any) -> None:
-            kind = {"before": "call", "after": "return", "error": "error"}[phase]
-            self.emit(source, kind, invocation.operation)
+            self.emit(source, _PHASE_KINDS[phase], invocation.operation)
 
         port.observers.append(observer)
 
     def tap_component(self, component: Component) -> None:
         for port in component.provided.values():
             self.tap_port(port)
-        component.lifecycle.observers.append(
-            lambda old, new: self.emit(
-                f"component:{component.name}", "lifecycle", str(new)
+        if self._first_tap(component):
+            component.lifecycle.observers.append(
+                lambda old, new: self.emit(
+                    f"component:{component.name}", "lifecycle", str(new)
+                )
             )
-        )
 
     def tap_connector(self, connector: Any) -> None:
-        if id(connector) in self._tapped:
+        if not self._first_tap(connector):
             return
-        self._tapped.add(id(connector))
         source = f"connector:{connector.name}"
 
         def observer(phase: str, role: str, invocation: Invocation,
                      payload: Any) -> None:
-            kind = {"before": "call", "after": "return", "error": "error"}[phase]
-            self.emit(source, kind, invocation.operation, details=(role,))
+            self.emit(source, _PHASE_KINDS[phase], invocation.operation,
+                      details=(role,))
 
         connector.observers.append(observer)
 
     def tap_binding(self, binding: Binding) -> None:
-        if id(binding) in self._tapped:
+        if not self._first_tap(binding):
             return
-        self._tapped.add(id(binding))
         source = f"binding:{binding.describe()}"
 
         def tap(invocation: Invocation, payload: Any, ok: bool) -> None:
@@ -102,19 +110,21 @@ class IntrospectionHub:
         binding.taps.append(tap)
 
     def tap_registry(self, registry: Registry) -> None:
-        registry.observers.append(
-            lambda event, component: self.emit(
-                "registry", event, component.name
+        if self._first_tap(registry):
+            registry.observers.append(
+                lambda event, component: self.emit(
+                    "registry", event, component.name
+                )
             )
-        )
 
     def tap_network(self, network: Network) -> None:
-        network.taps.append(
-            lambda event, message: self.emit(
-                "network", event, message.endpoint,
-                details=(message.source, message.destination),
+        if self._first_tap(network):
+            network.taps.append(
+                lambda event, message: self.emit(
+                    "network", event, message.endpoint,
+                    details=(message.source, message.destination),
+                )
             )
-        )
 
     # -- queries -----------------------------------------------------------------
 
@@ -126,9 +136,13 @@ class IntrospectionHub:
             tracer.record_audit("raml.introspect", query=query, **fields)
 
     def recent(self, count: int = 100) -> list[ObservationEvent]:
-        self._audit_query("recent", count=count,
-                          returned=min(count, len(self.events)))
-        return list(self.events)[-count:]
+        """The last ``count`` records in the ring, oldest first."""
+        if count < 0:
+            raise ValueError(f"recent() needs a count >= 0, got {count}")
+        latest = list(islice(reversed(self.events), count))
+        latest.reverse()
+        self._audit_query("recent", count=count, returned=len(latest))
+        return latest
 
     def count(self, kind: str) -> int:
         result = self.counts.get(kind, 0)
@@ -159,10 +173,13 @@ class TraceConformance:
         self._states: dict[str, set[str]] = {}
         self._models: dict[str, Any] = {}
         self.violations: list[tuple[str, str]] = []
+        self._attached: weakref.WeakSet[Component] = weakref.WeakSet()
 
     def attach(self, component: Component) -> None:
-        if component.behaviour is None:
+        """Check the component's provided calls; once per component."""
+        if component.behaviour is None or component in self._attached:
             return
+        self._attached.add(component)
         self._models[component.name] = component.behaviour
         self._states[component.name] = {component.behaviour.initial}
         name = component.name

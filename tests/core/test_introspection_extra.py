@@ -1,8 +1,14 @@
 """Additional introspection-hub coverage: binding taps, buffers, queries."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.core import IntrospectionHub
 from repro.events import Simulator
-from repro.kernel import Component, bind
+from repro.kernel import Component, Invocation, bind
+from repro.telemetry import install
 
 from tests.helpers import counter_interface, make_counter, make_flaky
 
@@ -59,6 +65,23 @@ class TestBindingTap:
         assert len(binding_events) == 1
 
 
+class TestTapOnce:
+    def test_new_port_at_a_freed_address_is_tapped(self):
+        # A freed port's address is often reused by the next one: only
+        # the live object may mark a port as tapped.
+        hub = make_hub()
+        for index in range(50):
+            port = make_counter(f"c{index}").provided_port("svc")
+            hub.tap_port(port)
+            port.invoke(Invocation("total"))
+            dropped = weakref.ref(port)
+            del port
+            gc.collect()
+            assert dropped() is None
+        assert [e.source for e in hub.events if e.kind == "call"] == [
+            f"port:c{index}.svc" for index in range(50)]
+
+
 class TestHubQueries:
     def test_ring_buffer_caps_history(self):
         hub = IntrospectionHub(Simulator(), buffer_size=10)
@@ -68,6 +91,21 @@ class TestHubQueries:
         assert hub.recent(5)[-1].operation == "24"
         # Counters keep the full tally even when events rotate out.
         assert hub.count("tick") == 25
+
+    def test_recent_returns_at_most_count_and_audits_its_length(self):
+        sim = Simulator()
+        tracer = install(sim, kernel_detail=None)
+        hub = IntrospectionHub(sim)
+        for index in range(5):
+            hub.emit("src", "tick", str(index))
+        assert hub.recent(0) == []
+        assert [e.operation for e in hub.recent(2)] == ["3", "4"]
+        assert [e.operation for e in hub.recent(9)] == list("01234")
+        with pytest.raises(ValueError):
+            hub.recent(-2)
+        assert [(r.fields["count"], r.fields["returned"])
+                for r in tracer.audit.of_kind("raml.introspect")] == [
+            (0, 0), (2, 2), (9, 5)]
 
     def test_subscribers_receive_live_events(self):
         hub = make_hub()

@@ -17,7 +17,7 @@ from repro.errors import RamlError
 from repro.events import Simulator
 from repro.kernel import Assembly, Invocation
 from repro.lts import Lts
-from repro.netsim import star
+from repro.netsim import Message, star
 
 from tests.helpers import CounterComponent, counter_interface, make_flaky
 
@@ -75,6 +75,45 @@ class TestIntrospection:
                             if e.kind == "lifecycle"]
         assert lifecycle_events
         assert lifecycle_events[-1].operation == "passive"
+
+
+def instrumented_run(instrument_calls):
+    """Instrument ``instrument_calls`` times, then drive every tapped site
+    once: two bound calls, a network message, a registration and a
+    lifecycle change."""
+    sim = Simulator()
+    assembly = Assembly(star(sim, leaves=3))
+    client = CounterComponent("client")
+    client.require("peer", counter_interface())
+    assembly.deploy(client, "leaf0")
+    server = fresh_counter("server")
+    server.behaviour = Lts.from_triples("proto", [
+        ("s0", "increment", "s1"),
+        ("s1", "total", "s0"),
+    ])
+    assembly.deploy(server, "leaf1")
+    assembly.connect("client", "peer", target_component="server")
+    raml = Raml(assembly, period=1.0)
+    for _ in range(instrument_calls):
+        raml.instrument()
+    client.required_port("peer").call("increment", 1)
+    client.required_port("peer").call("total")
+    assembly.network.send(Message("leaf0", "leaf1", "status", size=64))
+    sim.run()
+    assembly.deploy(fresh_counter("late"), "leaf2")
+    server.passivate()
+    return raml
+
+
+class TestInstrumentIdempotent:
+    def test_second_instrument_adds_no_taps(self):
+        once, twice = instrumented_run(1), instrumented_run(2)
+        assert once.hub.counts == {"call": 4, "return": 2, "send": 1,
+                                   "deliver": 1, "register": 1,
+                                   "lifecycle": 1}
+        assert twice.hub.counts == once.hub.counts
+        assert list(twice.hub.events) == list(once.hub.events)
+        assert twice.conformance.violations == []
 
 
 class TestTraceConformance:
