@@ -19,7 +19,7 @@ from repro.kernel.assembly import Assembly
 from repro.kernel.component import Component
 from repro.reconfig.changes import Change, ReplaceComponent
 from repro.reconfig.consistency import check_assembly
-from repro.reconfig.quiescence import QuiescenceRegion
+from repro.reconfig.quiescence import QuiescenceRegion, reach_quiescence
 
 
 @dataclass
@@ -55,7 +55,6 @@ class PolylithReconfigurator:
 
     def apply_async(self, changes: list[Change],
                     on_done: Callable[[PolylithReport], None] | None = None,
-                    poll_interval: float = 0.001,
                     timeout: float = 10.0) -> None:
         """Freeze the whole bus, wait for a global reconfiguration point,
         apply, hold the window, thaw."""
@@ -63,45 +62,35 @@ class PolylithReconfigurator:
         report = PolylithReport(started_at=sim.now)
         region = self._global_region()
         report.blocked_channels = len(region.bindings)
-        region.block(now=sim.now)
-        deadline = sim.now + timeout
 
-        def poll() -> None:
-            if region.is_drained():
-                region.passivate(now=sim.now)
-                for change in changes:
-                    change.validate(self.assembly)
-                    change.apply(self.assembly)
-                consistency = check_assembly(self.assembly)
-                if not consistency:
-                    raise ReconfigurationError(
-                        "polylith reconfiguration produced inconsistencies: "
-                        + "; ".join(consistency.violations)
-                    )
-                for change in changes:
-                    if isinstance(change, ReplaceComponent):
-                        change.commit(self.assembly)
-
-                def finish() -> None:
-                    report.buffered_calls = sum(
-                        binding.pending_count for binding in region.bindings
-                    )
-                    region.release(now=sim.now)
-                    report.finished_at = sim.now
-                    self.reports.append(report)
-                    if on_done is not None:
-                        on_done(report)
-
-                sim.schedule(finish, delay=self.window_cost(changes))
-                return
-            if sim.now >= deadline:
-                region.release(now=sim.now)
+        def at_reconfiguration_point() -> None:
+            for change in changes:
+                change.validate(self.assembly)
+                change.apply(self.assembly)
+            consistency = check_assembly(self.assembly)
+            if not consistency:
                 raise ReconfigurationError(
-                    "polylith: global reconfiguration point not reached"
+                    "polylith reconfiguration produced inconsistencies: "
+                    + "; ".join(consistency.violations)
                 )
-            sim.schedule(poll, delay=poll_interval)
+            for change in changes:
+                if isinstance(change, ReplaceComponent):
+                    change.commit(self.assembly)
 
-        sim.call_soon(poll)
+            def finish() -> None:
+                report.buffered_calls = sum(
+                    binding.pending_count for binding in region.bindings
+                )
+                region.release(now=sim.now)
+                report.finished_at = sim.now
+                self.reports.append(report)
+                if on_done is not None:
+                    on_done(report)
+
+            sim.schedule(finish, delay=self.window_cost(changes))
+
+        reach_quiescence(region, sim, at_reconfiguration_point,
+                         timeout=timeout)
 
     def replace_module(self, old_name: str, new_component: Component,
                        on_done: Callable[[PolylithReport], None] | None = None

@@ -93,12 +93,10 @@ class MigrateComponent(Change):
         container = assembly.containers[component.node_name]
         detached, descriptor = container.detach(self.component_name)
         try:
-            assembly.deploy(detached, self.target_node,
-                            _replaced_descriptor(descriptor, detached))
+            assembly.deploy(detached, self.target_node, descriptor)
         except Exception as exc:
             # Put it back where it was.
-            assembly.deploy(detached, self._source_node,
-                            _replaced_descriptor(descriptor, detached))
+            assembly.deploy(detached, self._source_node, descriptor)
             raise MigrationError(
                 f"could not migrate {self.component_name!r} to "
                 f"{self.target_node!r}: {exc}"
@@ -110,15 +108,8 @@ class MigrateComponent(Change):
         component = assembly.component(self.component_name)
         container = assembly.containers[component.node_name]
         detached, descriptor = container.detach(self.component_name)
-        assembly.deploy(detached, self._source_node,
-                        _replaced_descriptor(descriptor, detached))
+        assembly.deploy(detached, self._source_node, descriptor)
         self._source_node = None
-
-
-def _replaced_descriptor(descriptor: DeploymentDescriptor,
-                         component: Component) -> DeploymentDescriptor:
-    """Redeploying needs a descriptor naming the component (same one)."""
-    return descriptor
 
 
 @dataclass

@@ -123,7 +123,8 @@ def reach_quiescence(region: QuiescenceRegion, sim: Simulator,
         if sim.now >= deadline:
             region.release(now=sim.now)
             raise QuiescenceError(
-                f"quiescence not reached within {timeout} time units"
+                f"quiescence (reconfiguration point) not reached within "
+                f"{timeout} time units"
             )
         sim.schedule(poll, delay=poll_interval)
 

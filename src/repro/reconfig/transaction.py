@@ -12,7 +12,11 @@ with the guarantees the paper demands:
    configuration intact.
 
 The reconfiguration window occupies simulated time (the sum of change
-costs), so concurrent traffic observes a realistic freeze.
+costs), so concurrent traffic observes a realistic freeze.  Both entry
+points run the same window body: :meth:`~ReconfigurationTransaction.execute`
+quiesces at once and releases at once, while
+:meth:`~ReconfigurationTransaction.execute_async` reaches quiescence
+under live traffic and holds the region for the window's cost.
 
 With a :class:`~repro.durability.wal.WriteAheadLog` supplied, every
 phase transition is journaled *before* the corresponding in-memory
@@ -103,17 +107,6 @@ class ReconfigurationTransaction:
 
     # -- write-ahead journaling --------------------------------------------
 
-    def _journal_intent(self) -> None:
-        """Durable intent + pre-checksum; a failure here fails the
-        transaction before anything was touched."""
-        if self.wal is None:
-            return
-        from repro.durability.checksum import assembly_checksum
-
-        self.wal.intent(self.name, self.name,
-                        [change.description for change in self.changes],
-                        assembly_checksum(self.assembly))
-
     def _journal_apply(self, index: int, change: Change) -> None:
         """Write-ahead record for one change, journaled pre-mutation."""
         if self.wal is None:
@@ -138,21 +131,6 @@ class ReconfigurationTransaction:
             write()
         except StoreError as exc:
             self.report.wal_errors.append(str(exc))
-
-    def _journal_failure(self, applied: list[Change], error: str) -> None:
-        """Journal the failure outcome: ``abort`` when nothing was
-        applied, ``rollback-begin`` otherwise (the matching ``rollback``
-        record is appended after the undo succeeds)."""
-        if applied:
-            self._journal_safe(
-                lambda: self.wal.rollback_begin(self.name, error))
-        else:
-            self._journal_safe(lambda: self.wal.abort(self.name, error))
-
-    def _journal_rolled_back(self, applied: list[Change]) -> None:
-        if applied:
-            self._journal_safe(lambda: self.wal.rollback(
-                self.name, [change.description for change in applied]))
 
     # -- telemetry ---------------------------------------------------------
 
@@ -198,56 +176,51 @@ class ReconfigurationTransaction:
         """Simulated time the reconfiguration window stays open."""
         return sum(change.cost() for change in self.changes)
 
-    # -- synchronous execution ------------------------------------------------
+    # -- execution ------------------------------------------------------------
 
-    def execute(self) -> TransactionReport:
-        """Validate → quiesce (immediately) → apply → check → release.
-
-        Synchronous variant: assumes no call is in progress (true between
-        simulator events).  Raises on failure *after* rolling back.
-        """
+    def _begin(self) -> QuiescenceRegion:
+        """Before the window: reject a second run, validate the first
+        change, journal the intent and compute the region.  Any later
+        ``Exception`` leaves the report ``failed`` and is re-raised; a
+        simulated crash (a ``BaseException``) passes straight through."""
         if self.report.state is not TransactionState.PENDING:
             raise ReconfigurationError(
                 f"transaction {self.name!r} was already executed"
             )
         sim = self.assembly.sim
         self.report.started_at = sim.now
-
-        # Pre-validate the first change only: later changes may depend on
-        # earlier ones, so they are validated just before they apply.
-        if self.changes:
-            try:
-                self.changes[0].validate(self.assembly)
-            except ConsistencyError as exc:
-                self.report.state = TransactionState.FAILED
-                self.report.error = str(exc)
-                self.report.finished_at = sim.now
-                raise
-
         try:
-            self._journal_intent()
-        except StoreError as exc:
+            # Pre-validate the first change only: later changes may depend
+            # on earlier ones, so they are validated just before they apply.
+            if self.changes:
+                self.changes[0].validate(self.assembly)
+            if self.wal is not None:
+                # Durable intent + pre-checksum, before anything is touched.
+                from repro.durability.checksum import assembly_checksum
+
+                self.wal.intent(self.name, self.name,
+                                [c.description for c in self.changes],
+                                assembly_checksum(self.assembly))
+            return self.region()
+        except Exception as exc:
             self.report.state = TransactionState.FAILED
             self.report.error = str(exc)
             self.report.finished_at = sim.now
             raise
 
-        region = self.region()
-        region.block(now=sim.now)
-        if not region.is_drained():
-            region.release(now=sim.now)
-            self.report.state = TransactionState.FAILED
-            self.report.error = "region not idle"
-            self._audit_phase("quiescence", outcome="failed",
-                              error="region not idle")
-            raise QuiescenceError(
-                f"transaction {self.name!r}: affected components are mid-call; "
-                "use execute_async under live traffic"
-            )
-        region.passivate(now=sim.now)
+    def _window(self, region: QuiescenceRegion) -> Exception | None:
+        """The reconfiguration window, entered with ``region`` quiescent.
+
+        Applies every change, checks consistency, journals the commit
+        decision and commits the replacements; returns ``None`` and leaves
+        the region frozen for :meth:`_finish`.  On any failure it reverts
+        what was applied, releases the region, records the report
+        (``failed`` when nothing was applied, else ``rolled-back``) and
+        returns the error.
+        """
+        sim = self.assembly.sim
         self._audit_phase("quiescence", outcome="reached",
                           components=[c.name for c in region.components])
-
         applied: list[Change] = []
         try:
             if self.wal is not None:
@@ -273,29 +246,60 @@ class ReconfigurationTransaction:
             if self.wal is not None:
                 self.wal.commit(self.name)
         except Exception as exc:
-            self._journal_failure(applied, str(exc))
-            self._rollback(applied)
-            self._journal_rolled_back(applied)
+            error = str(exc)
+            reverted = [change.description for change in applied]
+            # ``abort`` when nothing was applied; else ``rollback-begin``
+            # now and the matching ``rollback`` once the undo succeeded.
+            if applied:
+                self._journal_safe(
+                    lambda: self.wal.rollback_begin(self.name, error))
+                self._rollback(applied)
+                self._journal_safe(
+                    lambda: self.wal.rollback(self.name, reverted))
+            else:
+                self._journal_safe(lambda: self.wal.abort(self.name, error))
             region.release(now=sim.now)
             self.report.state = (
-                TransactionState.FAILED if not applied
-                else TransactionState.ROLLED_BACK
+                TransactionState.ROLLED_BACK if applied
+                else TransactionState.FAILED
             )
-            self.report.error = str(exc)
+            self.report.error = error
             self.report.finished_at = sim.now
             self.report.blocked_duration = region.report.blocked_duration
-            self._audit_phase("rollback", error=str(exc),
-                              reverted=[c.description for c in applied])
+            self._audit_phase("rollback", error=error, reverted=reverted)
             self._emit_span()
-            raise
-
-        # Commit: finalise replacements and release immediately.  The
-        # synchronous variant does not advance simulated time; use
-        # execute_async for a realistic timed window under live traffic.
+            return exc
         for change in applied:
             if isinstance(change, ReplaceComponent):
                 change.commit(self.assembly)
                 self._audit_phase("state_transfer", change=change.description)
+        return None
+
+    def execute(self) -> TransactionReport:
+        """Validate → quiesce (immediately) → apply → check → release.
+
+        Synchronous variant: assumes no call is in progress (true between
+        simulator events).  Raises on failure *after* rolling back.
+        """
+        region = self._begin()
+        sim = self.assembly.sim
+        region.block(now=sim.now)
+        if not region.is_drained():
+            region.release(now=sim.now)
+            self.report.state = TransactionState.FAILED
+            self.report.error = "region not idle"
+            self._audit_phase("quiescence", outcome="failed",
+                              error="region not idle")
+            raise QuiescenceError(
+                f"transaction {self.name!r}: affected components are mid-call; "
+                "use execute_async under live traffic"
+            )
+        region.passivate(now=sim.now)
+        error = self._window(region)
+        if error is not None:
+            raise error
+        # The synchronous variant does not advance simulated time; use
+        # execute_async for a realistic timed window under live traffic.
         self._finish(region)
         return self.report
 
@@ -319,86 +323,29 @@ class ReconfigurationTransaction:
                           changes=list(self.report.applied_changes))
         self._emit_span()
 
-    # -- asynchronous execution --------------------------------------------------
-
     def execute_async(self, on_done: Callable[[TransactionReport], None]
                       | None = None,
                       quiescence_timeout: float = 10.0) -> None:
         """Run under live traffic: schedule quiescence, apply when drained.
 
         The window occupies simulated time; buffered calls flush on
-        release.  ``on_done`` receives the final report (committed or
-        rolled back — rollback errors propagate through the event loop).
+        release.  ``on_done`` receives the final report (committed,
+        failed or rolled back — rollback errors propagate through the
+        event loop).
         """
-        if self.report.state is not TransactionState.PENDING:
-            raise ReconfigurationError(
-                f"transaction {self.name!r} was already executed"
-            )
+        region = self._begin()
         sim = self.assembly.sim
-        self.report.started_at = sim.now
 
-        if self.changes:
-            self.changes[0].validate(self.assembly)
-
-        try:
-            self._journal_intent()
-        except StoreError as exc:
-            self.report.state = TransactionState.FAILED
-            self.report.error = str(exc)
-            self.report.finished_at = sim.now
-            raise
-
-        region = self.region()
+        def finish() -> None:
+            self._finish(region)
+            if on_done is not None:
+                on_done(self.report)
 
         def when_quiescent() -> None:
-            self._audit_phase("quiescence", outcome="reached",
-                              components=[c.name for c in region.components])
-            applied: list[Change] = []
-            try:
-                if self.wal is not None:
-                    self.wal.quiesce(self.name,
-                                     [c.name for c in region.components])
-                for index, change in enumerate(self.changes):
-                    change.validate(self.assembly)
-                    self._journal_apply(index, change)
-                    change.apply(self.assembly)
-                    applied.append(change)
-                    self.report.applied_changes.append(change.description)
-                    self._audit_phase("change", change=change.description)
-                consistency = check_assembly(self.assembly)
-                if not consistency:
-                    raise ConsistencyError(
-                        "post-change consistency violations: "
-                        + "; ".join(consistency.violations)
-                    )
-                if self.wal is not None:
-                    self.wal.commit(self.name)
-            except Exception as exc:  # noqa: BLE001 - rolled back below
-                self._journal_failure(applied, str(exc))
-                self._rollback(applied)
-                self._journal_rolled_back(applied)
-                region.release(now=sim.now)
-                self.report.state = TransactionState.ROLLED_BACK
-                self.report.error = str(exc)
-                self.report.finished_at = sim.now
-                self._audit_phase("rollback", error=str(exc),
-                                  reverted=[c.description for c in applied])
-                self._emit_span()
-                if on_done is not None:
-                    on_done(self.report)
-                return
-            for change in applied:
-                if isinstance(change, ReplaceComponent):
-                    change.commit(self.assembly)
-                    self._audit_phase("state_transfer",
-                                      change=change.description)
-
-            def finish() -> None:
-                self._finish(region)
-                if on_done is not None:
-                    on_done(self.report)
-
-            sim.schedule(finish, delay=self.window_cost())
+            if self._window(region) is None:
+                sim.schedule(finish, delay=self.window_cost())
+            elif on_done is not None:
+                on_done(self.report)
 
         reach_quiescence(region, sim, when_quiescent,
                          timeout=quiescence_timeout)

@@ -4,15 +4,23 @@ The crash matrix in ``test_recovery_matrix.py`` crashes one fixed
 transaction.  Here Hypothesis generates transactions of 1–4 valid
 changes on a small star assembly (rewires, strong replacements with
 state transfer, additions, and a removal last), crashes each one at
-every WAL point before and after the append, on both backends, then
-rebuilds and recovers.  The recovered assembly must hash to the clean
-pre- or post-checksum, and recovery must pick the mode the decision rule
-names: roll forward exactly when the commit marker was durable, clean
-when the crash came before the intent record.
+every WAL point before and after the append, on both backends and
+through both entry points (``execute()``, or ``execute_async()`` with
+the crash firing inside the event loop), then rebuilds and recovers.
+The recovered assembly must hash to the clean pre- or post-checksum, and
+recovery must pick the mode the decision rule names: roll forward
+exactly when the commit marker was durable, clean when the crash came
+before the intent record.
+
+The same generated transactions, with an always-failing change at a
+generated position, check that both entry points run one window: the
+same report outcome, the same WAL records and the same final assembly.
 """
 
+import contextlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.durability import (
@@ -23,6 +31,7 @@ from repro.durability import (
     SqliteStore,
     WriteAheadLog,
     assembly_checksum,
+    canonical_json,
     recover,
 )
 from repro.events import Simulator
@@ -42,6 +51,7 @@ from tests.durability.helpers import (
     fresh_client,
     fresh_counter,
 )
+from tests.helpers import ExplodingChange
 
 
 def build_assembly():
@@ -89,20 +99,32 @@ def crash_points(count):
     return [(point, when) for point in points for when in ("before", "after")]
 
 
-def execute(plan, wal=None):
+def run(txn, entry):
+    """Execute ``txn`` through one entry point: ``execute()``, or
+    ``execute_async()`` and the event loop until it drains."""
+    if entry == "sync":
+        txn.execute()
+    else:
+        txn.execute_async()
+        txn.assembly.sim.run()
+
+
+def execute(plan, wal=None, entry="sync"):
     assembly = build_assembly()
     txn = ReconfigurationTransaction(assembly, name="txn", wal=wal)
     for change in build_changes(plan):
         txn.add(change)
-    txn.execute()
+    run(txn, entry)
     return assembly
 
 
+@pytest.mark.parametrize("entry", ["sync", "async"])
 @pytest.mark.parametrize("open_store", [
     MemoryStore, lambda: SqliteStore(":memory:")], ids=["memory", "sqlite"])
 @settings(max_examples=25, deadline=None)
 @given(plans)
-def test_every_crash_recovers_to_pre_or_post_never_hybrid(open_store, plan):
+def test_every_crash_recovers_to_pre_or_post_never_hybrid(open_store, entry,
+                                                          plan):
     pre = assembly_checksum(build_assembly())
     post = assembly_checksum(execute(plan))
     checksums = {CLEAN: pre, ROLL_BACK: pre, ROLL_FORWARD: post}
@@ -111,7 +133,7 @@ def test_every_crash_recovers_to_pre_or_post_never_hybrid(open_store, plan):
         wal = WriteAheadLog(store)
         CrashInjector(point, when=when).arm(wal)
         try:
-            execute(plan, wal)
+            execute(plan, wal, entry)
         except SimulatedCrash:
             pass
         else:
@@ -124,3 +146,31 @@ def test_every_crash_recovers_to_pre_or_post_never_hybrid(open_store, plan):
         assert report.consistent
         assert assembly_checksum(fresh) == checksums[mode]
         store.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(plans, st.none() | st.integers(0, 4))
+@example(plan=([], [], [2], False), fail_at=0)
+def test_execute_and_execute_async_run_one_window(plan, fail_at):
+    outcomes = []
+    for entry in ("sync", "async"):
+        changes = build_changes(plan)
+        if fail_at is not None:
+            # Never after the removal: a stopped component cannot revert.
+            last = len(changes) - plan[3]
+            changes.insert(min(fail_at, last), ExplodingChange())
+        wal = WriteAheadLog(MemoryStore())
+        txn = ReconfigurationTransaction(build_assembly(), name="txn",
+                                         wal=wal)
+        for change in changes:
+            txn.add(change)
+        with contextlib.suppress(RuntimeError):  # execute() re-raises
+            run(txn, entry)
+        report = txn.report
+        outcomes.append((
+            report.state, report.error, report.applied_changes,
+            report.wal_errors,
+            [canonical_json(record) for record in wal.records()],
+            assembly_checksum(txn.assembly),
+        ))
+    assert outcomes[0] == outcomes[1]

@@ -28,6 +28,7 @@ from tests.durability.helpers import (
     post_checksum,
     pre_checksum,
 )
+from tests.helpers import ExplodingChange
 
 
 def journaled_txn(store, name="txn-1"):
@@ -37,16 +38,6 @@ def journaled_txn(store, name="txn-1"):
     for change in build_changes(assembly):
         txn.add(change)
     return assembly, txn
-
-
-class ExplodingChange(Change):
-    description = "exploding change"
-
-    def apply(self, assembly):
-        raise RuntimeError("boom")
-
-    def revert(self, assembly):
-        pass
 
 
 class UnrevertableChange(Change):

@@ -17,7 +17,6 @@ from repro.kernel import Assembly
 from repro.netsim import star
 from repro.reconfig import (
     AddComponent,
-    Change,
     ReconfigurationTransaction,
     TransactionState,
 )
@@ -30,18 +29,7 @@ from tests.durability.helpers import (
     pre_checksum,
     run_journaled,
 )
-
-
-class ExplodingChange(Change):
-    """Applies never; used to drive the abort/rollback journal paths."""
-
-    description = "exploding change"
-
-    def apply(self, assembly):
-        raise RuntimeError("boom")
-
-    def revert(self, assembly):
-        pass
+from tests.helpers import ExplodingChange
 
 
 class TestForwardPath:

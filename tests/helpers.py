@@ -1,6 +1,7 @@
 """Shared component fixtures used across the test suite."""
 
 from repro.kernel import Component, Interface, Operation
+from repro.reconfig import Change
 
 
 def counter_interface(version="1.0"):
@@ -96,3 +97,15 @@ def make_flaky(name="flaky", failures=1):
     component.provide("svc", echo_interface())
     component.activate()
     return component
+
+
+class ExplodingChange(Change):
+    """Raises in apply; drives a transaction's abort and rollback paths."""
+
+    description = "exploding change"
+
+    def apply(self, assembly):
+        raise RuntimeError("boom")
+
+    def revert(self, assembly):
+        pass

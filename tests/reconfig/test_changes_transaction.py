@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.durability import MemoryStore, WriteAheadLog
 from repro.errors import (
     ConsistencyError,
     QuiescenceError,
     ReconfigurationError,
+    RegistryError,
 )
 from repro.events import Simulator
 from repro.kernel import (
@@ -31,7 +33,7 @@ from repro.reconfig import (
     check_assembly,
 )
 
-from tests.helpers import CounterComponent, counter_interface
+from tests.helpers import CounterComponent, ExplodingChange, counter_interface
 
 
 def fresh_counter(name):
@@ -371,6 +373,18 @@ class TestTransactionMechanics:
         client.required_port("peer").call("increment", 3)
         assert server.state["total"] == 3
 
+    def test_unknown_first_component_fails_and_rejects_a_rerun(self):
+        assembly, _c, _s = wired_assembly()
+        txn = ReconfigurationTransaction(assembly).add(
+            RewireBinding("ghost", "peer", target_component="server")
+        )
+        with pytest.raises(RegistryError):
+            txn.execute()
+        assert txn.report.state is TransactionState.FAILED
+        assert "ghost" in txn.report.error
+        with pytest.raises(ReconfigurationError, match="already executed"):
+            txn.execute()
+
     def test_report_records_changes_and_window(self):
         assembly, _c, _s = wired_assembly()
         txn = ReconfigurationTransaction(assembly, name="expand").add(
@@ -423,3 +437,47 @@ class TestAsyncExecution:
         report = done[0]
         assert report.state is TransactionState.COMMITTED
         assert report.blocked_duration > 0
+
+    def test_async_failure_with_nothing_applied_reports_failed(self):
+        assembly, _client, _server = wired_assembly()
+        wal = WriteAheadLog(MemoryStore())
+        done = []
+        ReconfigurationTransaction(assembly, name="t", wal=wal).add(
+            ExplodingChange()
+        ).execute_async(on_done=done.append)
+        assembly.sim.run()
+        assert done[0].state is TransactionState.FAILED
+        assert done[0].error == "boom"
+        assert wal.phases("t") == ["intent", "quiesce", "apply", "abort"]
+
+    def test_async_invalid_first_change_fails_and_rejects_a_rerun(self):
+        assembly, _client, _server = wired_assembly()
+        sim = assembly.sim
+        sim.at(lambda: None, when=0.25)
+        sim.run()
+        txn = ReconfigurationTransaction(assembly).add(
+            AddComponent(fresh_counter("server"), "leaf2")  # name taken
+        )
+        with pytest.raises(ConsistencyError):
+            txn.execute_async()
+        assert txn.report.state is TransactionState.FAILED
+        assert txn.report.error
+        assert txn.report.finished_at == 0.25
+        with pytest.raises(ReconfigurationError, match="already executed"):
+            txn.execute_async()
+
+    def test_async_rollback_reports_the_drain_as_blocked_time(self):
+        assembly, _client, server = wired_assembly()
+        sim = assembly.sim
+        server._active_calls = 1
+        sim.at(lambda: setattr(server, "_active_calls", 0), when=0.05)
+        done = []
+        (ReconfigurationTransaction(assembly)
+         .add(ReplaceComponent("server", fresh_counter("server-v2")))
+         .add(ExplodingChange())
+         .execute_async(on_done=done.append))
+        sim.run()
+        report = done[0]
+        assert report.state is TransactionState.ROLLED_BACK
+        assert report.blocked_duration == pytest.approx(0.05, abs=0.002)
+        assert assembly.component("server") is server
