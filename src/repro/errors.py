@@ -233,20 +233,12 @@ class QosError(ReproError):
     """Errors raised by QoS contracts and monitors."""
 
 
-class ContractViolation(QosError):
-    """A QoS contract obligation was violated."""
-
-
 class ControlError(ReproError):
     """Errors raised by feedback controllers."""
 
 
 class RamlError(ReproError):
     """Errors raised by the Reconfiguration and Adaptation Meta-Level."""
-
-
-class ConstraintViolation(RamlError):
-    """A behavioural constraint registered with RAML was violated."""
 
 
 class MiddlewareError(ReproError):

@@ -155,11 +155,6 @@ class Simulator:
         return self._live
 
     @property
-    def cancelled_pending(self) -> int:
-        """Queued cancelled entries not yet reclaimed (telemetry)."""
-        return self._garbage
-
-    @property
     def queue_size(self) -> int:
         """Physical heap size, live + cancelled garbage (telemetry)."""
         return len(self._queue)

@@ -14,7 +14,6 @@ from repro.netsim.message import (
     Message,
     MessageIdAllocator,
     current_allocator,
-    reset_message_ids,
     use_allocator,
 )
 from repro.netsim.network import Network, NetworkStats
@@ -45,7 +44,6 @@ __all__ = [
     "hosts",
     "least_loaded",
     "line",
-    "reset_message_ids",
     "ring",
     "star",
     "use_allocator",

@@ -9,15 +9,11 @@ process-default allocator (so plain single-simulator code needs no
 setup), but any scope that must number messages independently of
 everything else running in the process — a region shard of a partitioned
 run, a test that compares traces — installs its own allocator with
-:func:`use_allocator` and restores the previous one when done.  The old
-:func:`reset_message_ids` global restart is deprecated: it only works
-when every run in the process resets in a disciplined order, which
-million-node sharded runs cannot guarantee.
+:func:`use_allocator` and restores the previous one when done.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,29 +23,26 @@ class MessageIdAllocator:
 
     Plain mutable state instead of :func:`itertools.count` so a holder
     (e.g. a region runtime) can read, save and restore the cursor, and
-    so two allocators never share position by accident.
+    so two allocators never share position by accident.  Ids step by
+    one; region shards keep apart by starting in disjoint namespaces.
 
     Args:
         start: first id to hand out.
-        stride: distance between consecutive ids (1 for dense local
-            numbering; region shards use stride 1 inside a strided
-            namespace carved out by ``start``).
     """
 
-    __slots__ = ("next_id", "stride")
+    __slots__ = ("next_id",)
 
-    def __init__(self, start: int = 1, stride: int = 1) -> None:
+    def __init__(self, start: int = 1) -> None:
         self.next_id = start
-        self.stride = stride
 
     def allocate(self) -> int:
         """Consume and return the next id."""
         value = self.next_id
-        self.next_id = value + self.stride
+        self.next_id = value + 1
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"MessageIdAllocator(next={self.next_id}, stride={self.stride})"
+        return f"MessageIdAllocator(next={self.next_id})"
 
 
 #: The process-default allocator plain code allocates from.
@@ -74,26 +67,6 @@ def use_allocator(allocator: MessageIdAllocator | None
     previous = _allocator
     _allocator = allocator if allocator is not None else _default_allocator
     return previous
-
-
-def reset_message_ids(start: int = 1) -> None:
-    """Restart the *default* message-id counter (deprecated).
-
-    Deprecated in favour of scoped allocators: create a
-    :class:`MessageIdAllocator` and install it with
-    :func:`use_allocator` around the run that must be byte-for-byte
-    comparable, instead of relying on every run in the process calling
-    the global reset in the right order.
-    """
-    warnings.warn(
-        "reset_message_ids() is deprecated; install a scoped "
-        "MessageIdAllocator with use_allocator() instead "
-        "(see docs/API.md)",
-        DeprecationWarning, stacklevel=2)
-    global _allocator
-    _default_allocator.next_id = start
-    _default_allocator.stride = 1
-    _allocator = _default_allocator
 
 
 def _next_message_id() -> int:

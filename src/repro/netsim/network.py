@@ -224,13 +224,17 @@ class Network:
         if source is None or not source.up:
             self._drop(message, "node_down")
             return
+        self._depart(message, message.source)
+
+    def _depart(self, message: Message, position: str) -> None:
+        """Route ``message`` from ``position`` and take its first hop."""
         try:
-            path = self.route(message.source, message.destination)
+            path = self.route(position, message.destination)
         except NetworkError:
             self._drop(message, "no_route")
             return
         self.in_flight += 1
-        self._forward(message, path, hop_index=0)
+        self._forward(message, path, 0)
 
     def _forward(self, message: Message, path: list[str], hop_index: int) -> None:
         """Advance a message one hop along its precomputed path."""

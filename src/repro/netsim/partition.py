@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable
 
 import networkx as nx
 
-from repro.errors import LinkDownError, NetworkError
+from repro.errors import NetworkError
 from repro.events import Simulator
 from repro.netsim.message import Message
 from repro.netsim.network import Network
@@ -112,10 +111,6 @@ class Partition:
             raise NetworkError(
                 f"node {node!r} already assigned to region {existing}")
         self._node_region[sys.intern(node)] = region
-
-    def assign_many(self, nodes: Iterable[str], region: int) -> None:
-        for node in nodes:
-            self.assign(node, region)
 
     def add_boundary(self, a_node: str, b_node: str, *,
                      latency: float, bandwidth: float = 1_000_000.0,
@@ -243,11 +238,12 @@ class Partition:
 class RegionNetwork(Network):
     """One region's shard of a partitioned topology.
 
-    Local traffic behaves exactly like a plain :class:`Network`.  A
-    message addressed to a remote node travels the local topology to the
-    boundary gateway, pays the boundary link (queueing + transmission +
-    propagation, with deterministic loss from this region's seeded rng),
-    and is appended to :attr:`outbox` as one plain tuple::
+    Every message rides :class:`Network`'s one hop loop.  A message
+    addressed to a remote node is routed to the boundary gateway toward
+    its region (:meth:`_depart`); on reaching it (:meth:`_arrive`) it
+    pays the boundary link (queueing + transmission + propagation, with
+    deterministic loss from this region's seeded rng) and is appended to
+    :attr:`outbox` as one plain tuple::
 
         ("msg", origin_region, to_region, entry_node, arrival_time, seq,
          source, destination, endpoint, payload, size, headers, sent_at,
@@ -269,66 +265,19 @@ class RegionNetwork(Network):
         self.forwarded_out = 0
         self.ingressed = 0
         self._outbox_seq = 0
-        #: Messages currently travelling the cross path inside this
-        #: region (sent remote or transiting), not yet egressed/dropped.
-        self.cross_in_flight = 0
-        # Declared cross-send schedule (sorted absolute times) for the
-        # sharper egress-floor promise; None = no declaration.
-        self._cross_times: list[float] | None = None
-        self._cross_idx = 0
-
-    # -- egress-floor promise ----------------------------------------------
-
-    def declare_cross_sends(self, times: Iterable[float]) -> None:
-        """Declare the absolute times at which this region's *workload*
-        will originate cross-region sends.
-
-        Opt-in sharpening of :meth:`egress_floor`: a scenario whose
-        handlers never emit undeclared cross-region traffic (replies,
-        retries) can promise the coordinator that no boundary egress will
-        happen before the next declared send — even while millions of
-        purely local events are pending.  Declaring and then cross-sending
-        off-schedule would let remote regions run past a message's
-        arrival, so the contract is on the scenario builder.
-        """
-        incoming = sorted(times)
-        if self._cross_times is None:
-            self._cross_times = incoming
-        else:
-            pending = self._cross_times[self._cross_idx:]
-            for when in incoming:
-                insort(pending, when)
-            self._cross_times = pending
-            self._cross_idx = 0
 
     def egress_floor(self) -> float:
         """Earliest simulated time this region could still produce a
         boundary egress, given only its current internal state
         (``math.inf`` when it provably cannot).
 
-        Without a declared cross-send schedule the floor is the next
-        pending event's time — sound for arbitrary handlers, since any
-        egress happens inside an event.  With a declaration the floor is
-        the earlier of the next declared send and — only while a cross
-        message is already in flight inside the region — the next event
-        time; pending *local* events no longer pin the floor, which is
-        what lets adaptive lookahead widen horizons far past the per-hop
-        event cadence.
-
-        Future injections from other regions are deliberately excluded:
-        the coordinator bounds those with its own held-tuple and
+        That is the next pending event's time — sound for arbitrary
+        handlers, since any egress happens inside an event.  Future
+        injections from other regions are deliberately excluded: the
+        coordinator bounds those with its own held-tuple and
         region-distance terms.
         """
-        if self._cross_times is None:
-            return self.sim.next_event_time()
-        now = self.sim.now
-        times = self._cross_times
-        idx = bisect_left(times, now, self._cross_idx)
-        self._cross_idx = idx
-        floor = times[idx] if idx < len(times) else math.inf
-        if self.cross_in_flight:
-            floor = min(floor, self.sim.next_event_time())
-        return floor
+        return self.sim.next_event_time()
 
     # -- topology guard ----------------------------------------------------
 
@@ -340,119 +289,48 @@ class RegionNetwork(Network):
                 f"node {name!r} belongs to region {owner}, not {self.region}")
         return super().add_node(name, capacity=capacity, region=region)
 
-    # -- sending -----------------------------------------------------------
+    # -- the hop loop's two ends -------------------------------------------
 
-    def send(self, message: Message) -> None:
-        """Local destinations delegate to :class:`Network`; remote ones
-        take the boundary path."""
-        if self.partition.region_of(message.destination) == self.region:
-            super().send(message)
-            return
-        message.sent_at = self.sim.now
-        self.stats.sent += 1
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled \
-                and tracer.sample("net.msg"):
-            message.trace_span = tracer.begin_flow(
-                "net.msg",
-                f"{message.source}->{message.destination}/{message.endpoint}",
-                msg_id=message.msg_id, size=message.size,
-            )
-        self._notify("send", message)
-        source = self.nodes.get(message.source)
-        if source is None or not source.up:
-            self._drop(message, "node_down")
+    def _depart(self, message: Message, position: str) -> None:
+        """Route toward a local destination, or toward the gateway on the
+        way to a remote destination's region."""
+        partition = self.partition
+        target = message.destination
+        dst_region = partition.region_of(target)
+        if dst_region != self.region:
+            try:
+                target = partition.next_hop(
+                    self.region, dst_region).gateway(self.region)
+            except NetworkError:
+                self._drop(message, "no_route")
+                return
+        try:
+            path = self.route(position, target)
+        except NetworkError:
+            self._drop(message, "no_route")
             return
         self.in_flight += 1
-        self.cross_in_flight += 1
-        self._cross_forward(message, message.source)
+        self._forward(message, path, 0)
 
-    # -- boundary path -----------------------------------------------------
-
-    def _cross_forward(self, message: Message, position: str) -> None:
-        """Route ``message`` from ``position`` to the boundary gateway
-        toward its destination's region, then egress."""
-        dst_region = self.partition.region_of(message.destination)
-        try:
-            boundary = self.partition.next_hop(self.region, dst_region)
-        except NetworkError:
-            self.in_flight -= 1
-            self.cross_in_flight -= 1
-            self._drop(message, "no_route")
+    def _arrive(self, message: Message) -> None:
+        """Deliver a local message; a remote one has reached its gateway:
+        pay the boundary link and post the pipe tuple."""
+        region = self.region
+        destination = message.destination
+        # A shard holds only its own nodes: only one it lacks needs the
+        # partition (and a local one it lacks drops as ``node_down``).
+        dst_region = (region if destination in self.nodes
+                      else self.partition.region_of(destination))
+        if dst_region == region:
+            Network._arrive(self, message)
             return
-        gateway = boundary.gateway(self.region)
-        if position == gateway:
-            self._egress(message, boundary)
-            return
-        try:
-            path = self.route(position, gateway)
-        except NetworkError:
-            self.in_flight -= 1
-            self.cross_in_flight -= 1
-            self._drop(message, "no_route")
-            return
-        self._forward_leg(message, path, 0, boundary)
-
-    def _forward_leg(self, message: Message, path: list[str],
-                     hop_index: int, boundary: Boundary) -> None:
-        """Advance one hop toward the gateway; egress on arrival there.
-
-        Mirrors :meth:`Network._forward` (queueing behind earlier traffic
-        in the link direction, transmission, propagation, loss) but the
-        leg's terminus is the boundary gateway, not a local endpoint.
-        """
-        if hop_index >= len(path) - 1:
-            self._egress(message, boundary)
-            return
-        here, there = path[hop_index], path[hop_index + 1]
-        try:
-            link = self.link_between(here, there)
-            link.transfer_time(message.size)  # validates the link is up
-        except LinkDownError:
-            self.in_flight -= 1
-            self.cross_in_flight -= 1
-            self._drop(message, "link_down")
-            return
-        if link.loss and self.rng.random() < link.loss:
-            link.dropped_messages += 1
-            self.in_flight -= 1
-            self.cross_in_flight -= 1
-            self._drop(message, "loss")
-            return
-        size = message.size
-        link.transferred_messages += 1
-        link.transferred_bytes += size
-        transmitter = (link.key, here)
-        now = self.sim.now
-        free_at = self._transmitter_free_at
-        start = max(now, free_at.get(transmitter, 0.0))
-        transmission = size / link.bandwidth
-        free_at[transmitter] = start + transmission
-        delay = (start - now) + transmission + link.latency
-        span = message.trace_span
-        if span is not None:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "net.hop", f"{here}->{there}", now, now + delay,
-                    parent_id=span.span_id,
-                    msg_id=message.msg_id,
-                    queued=round(start - now, 9),
-                    transmission=round(transmission, 9),
-                    propagation=link.latency,
-                )
-        self.sim.schedule(self._forward_leg, message, path, hop_index + 1,
-                          boundary, delay=delay)
-
-    def _egress(self, message: Message, boundary: Boundary) -> None:
-        """Pay the boundary link and append the pipe tuple to the outbox."""
-        gateway = boundary.gateway(self.region)
-        to_region, entry_node = boundary.peer(self.region)
+        boundary = self.partition.next_hop(region, dst_region)
+        self.in_flight -= 1
         if boundary.loss and self.rng.random() < boundary.loss:
-            self.in_flight -= 1
-            self.cross_in_flight -= 1
             self._drop(message, "loss")
             return
+        gateway = boundary.gateway(region)
+        to_region, entry_node = boundary.peer(region)
         now = self.sim.now
         key = ((gateway, entry_node) if gateway <= entry_node
                else (entry_node, gateway))
@@ -476,20 +354,26 @@ class RegionNetwork(Network):
                     propagation=boundary.latency,
                 )
                 tracer.end_flow(span, outcome=f"egress:r{to_region}")
+        headers = message.headers
+        self._post(to_region, entry_node, arrival, message.source,
+                   destination, message.endpoint, message.payload,
+                   message.size, dict(headers), message.sent_at,
+                   headers.get("x-origin", (region, message.msg_id)))
+        self._notify(f"egress:r{to_region}", message)
+
+    def _post(self, to_region: int, entry_node: str, arrival: float,
+              source: str, destination: str, endpoint: str, payload: Any,
+              size: int, headers: dict, sent_at: float,
+              origin: tuple) -> None:
+        """Append one boundary tuple (see the class docstring)."""
         seq = self._outbox_seq
         self._outbox_seq = seq + 1
-        origin = message.headers.get("x-origin",
-                                     (self.region, message.msg_id))
         self.outbox.append((
             "msg", self.region, to_region, entry_node, arrival, seq,
-            message.source, message.destination, message.endpoint,
-            message.payload, message.size, dict(message.headers),
-            message.sent_at, origin,
+            source, destination, endpoint, payload, size, headers, sent_at,
+            origin,
         ))
         self.forwarded_out += 1
-        self.in_flight -= 1
-        self.cross_in_flight -= 1
-        self._notify(f"egress:r{to_region}", message)
 
     # -- receiving ---------------------------------------------------------
 
@@ -497,8 +381,9 @@ class RegionNetwork(Network):
         """Continue delivery of an inbound boundary tuple.
 
         Must run *at* the tuple's arrival time (the worker schedules it
-        there); the message re-materializes on this region's side of the
-        boundary and either delivers locally or takes the next boundary.
+        there); the message re-materializes at its entry node on this
+        region's side of the boundary and departs from there, toward a
+        local destination or the next boundary.
         """
         (_, origin_region, to_region, entry_node, _arrival, _seq,
          source, destination, endpoint, payload, size, headers,
@@ -523,19 +408,4 @@ class RegionNetwork(Network):
                 origin=f"r{origin[0]}#{origin[1]}",
             )
         self._notify("ingress", message)
-        if self.partition.region_of(destination) != self.region:
-            self.in_flight += 1
-            self.cross_in_flight += 1
-            self._cross_forward(message, entry_node)
-            return
-        self.in_flight += 1
-        if entry_node == destination:
-            self._arrive(message)
-            return
-        try:
-            path = self.route(entry_node, destination)
-        except NetworkError:
-            self.in_flight -= 1
-            self._drop(message, "no_route")
-            return
-        self._forward(message, path, 0)
+        self._depart(message, entry_node)

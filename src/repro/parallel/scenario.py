@@ -17,8 +17,11 @@ method); parameterize with :func:`functools.partial`, e.g.::
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
+from bisect import bisect_left
+from typing import Iterable
 
 from repro.errors import NetworkError
 from repro.events import Simulator
@@ -213,6 +216,47 @@ class LeanStarRegion(RegionNetwork):
         self.message_size = message_size
         self.delivered_by_leaf = array("I", bytes(4 * leaves))
         self.digest = 0
+        # Declared cross-send schedule (sorted absolute times) for the
+        # sharper egress floor; None = no declaration.
+        self._cross_times: list[float] | None = None
+        self._cross_idx = 0
+
+    # -- egress-floor promise ----------------------------------------------
+
+    def declare_cross_sends(self, times: Iterable[float]) -> None:
+        """Declare the absolute times at which this region's workload
+        will originate cross-region sends (merged with any earlier,
+        still pending declaration).
+
+        Opt-in sharpening of :meth:`egress_floor`: the lean workload's
+        cross sends are a pure function of the message index, so the
+        builder can promise the coordinator that no boundary egress will
+        happen before the next declared send — even while millions of
+        purely local events are pending.  Declaring and then cross-sending
+        off-schedule would let remote regions run past a message's
+        arrival, so the contract is on the scenario builder.
+        """
+        pending = ([] if self._cross_times is None
+                   else self._cross_times[self._cross_idx:])
+        self._cross_times = sorted([*pending, *times])
+        self._cross_idx = 0
+
+    def egress_floor(self) -> float:
+        """The next declared cross send (``math.inf`` after the last);
+        without a declaration, the next pending event's time.
+
+        Pending local events never pin a declared floor, which is what
+        lets adaptive lookahead widen horizons far past the per-hop
+        event cadence.  A lean cross send or transit egresses inside the
+        event that makes it, so no message is ever in flight toward a
+        boundary between events and nothing else can egress.
+        """
+        times = self._cross_times
+        if times is None:
+            return super().egress_floor()
+        idx = bisect_left(times, self.sim.now, self._cross_idx)
+        self._cross_idx = idx
+        return times[idx] if idx < len(times) else math.inf
 
     # -- lean delivery ----------------------------------------------------
 
@@ -236,16 +280,11 @@ class LeanStarRegion(RegionNetwork):
             self.stats.dropped_no_route += 1
             return
         next_region, entry_node = boundary.peer(self.region)
-        arrival = now + self.local_latency + boundary.latency
-        seq = self._outbox_seq
-        self._outbox_seq = seq + 1
-        self.outbox.append((
-            "msg", self.region, next_region, entry_node, arrival, seq,
-            leaf_name(self.region, source_leaf),
-            leaf_name(to_region, dest_leaf), ENDPOINT, None,
-            self.message_size, {}, now, (self.region, msg_id),
-        ))
-        self.forwarded_out += 1
+        self._post(next_region, entry_node,
+                   now + self.local_latency + boundary.latency,
+                   leaf_name(self.region, source_leaf),
+                   leaf_name(to_region, dest_leaf), ENDPOINT, None,
+                   self.message_size, {}, now, (self.region, msg_id))
 
     def _lean_arrive(self, leaf: int, origin_region: int, msg_id: int,
                      sent_at: float) -> None:
@@ -277,15 +316,10 @@ class LeanStarRegion(RegionNetwork):
         if dest_region != self.region:
             boundary = self.partition.next_hop(self.region, dest_region)
             next_region, entry_node = boundary.peer(self.region)
-            seq = self._outbox_seq
-            self._outbox_seq = seq + 1
-            self.outbox.append((
-                "msg", self.region, next_region, entry_node,
-                self.sim.now + boundary.latency, seq, _source, destination,
-                _endpoint, _payload, size, _headers, sent_at,
-                tuple(origin),
-            ))
-            self.forwarded_out += 1
+            self._post(next_region, entry_node,
+                       self.sim.now + boundary.latency, _source, destination,
+                       _endpoint, _payload, size, _headers, sent_at,
+                       tuple(origin))
             return
         self.in_flight += 1
         origin_region, msg_id = origin
@@ -322,7 +356,7 @@ def build_lean_star_region(region: int, sim: Simulator,
     ``m % cross_every == 0`` (deterministic, not an rng draw), which is
     what makes ``declare_cross=True`` sound: the exact cross-send times
     are computable at build time and passed to
-    :meth:`RegionNetwork.declare_cross_sends`, so adaptive lookahead can
+    :meth:`LeanStarRegion.declare_cross_sends`, so adaptive lookahead can
     widen horizons past millions of pending local events.  Leaf choices
     still come from the ``(seed, region)``-derived rng; stream ticks
     fire at strictly increasing distinct times, so the draw order — and

@@ -59,7 +59,6 @@ from repro.telemetry.merge import (
     merged_checksum,
     merged_trace_json,
     region_records,
-    write_merged_jsonl,
 )
 from repro.telemetry.instrument import (
     configure,
@@ -110,5 +109,4 @@ __all__ = [
     "write_chrome_trace",
     "write_folded",
     "write_jsonl",
-    "write_merged_jsonl",
 ]

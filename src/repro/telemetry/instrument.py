@@ -125,7 +125,11 @@ def instrument_connector(tracer: Tracer, connector: Any) -> None:
     head sampling decision is made in the *before* phase — an unsampled
     invocation pushes a ``None`` marker and assembles no span arguments.
     Retries inside the glue surface through ``invocation.meta['attempts']``.
+    A connector already instrumented for ``tracer`` is left as it is.
     """
+    if connector in tracer._connectors:
+        return
+    tracer._connectors.add(connector)
     stack: list[tuple[float, float] | None] = []
 
     def observer(phase: str, role: str, invocation: Any, payload: Any) -> None:
@@ -159,9 +163,9 @@ def instrument_connector(tracer: Tracer, connector: Any) -> None:
 
 
 def instrument_assembly(tracer: Tracer, assembly: Any) -> Tracer:
-    """Trace every connector currently in an assembly (idempotent by
-    virtue of re-instrumenting only new connectors is *not* attempted —
-    call once after wiring)."""
+    """Trace every connector currently in an assembly; calling it again
+    (say, after a reconfiguration adds a connector) instruments only the
+    connectors new to ``tracer``."""
     for connector in assembly.connectors.values():
         instrument_connector(tracer, connector)
     return tracer

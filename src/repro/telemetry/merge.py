@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.telemetry.tracer import Tracer
@@ -84,10 +83,3 @@ def merged_checksum(records: Iterable[Mapping[str, Any]]) -> str:
     run's determinism witness (compare across backends, restarts and
     repeated same-seed runs)."""
     return hashlib.sha256(merged_trace_json(records).encode()).hexdigest()
-
-
-def write_merged_jsonl(records: Iterable[Mapping[str, Any]],
-                       path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(merged_trace_json(records))
-    return path

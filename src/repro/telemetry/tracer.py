@@ -31,6 +31,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 from typing import Any, TYPE_CHECKING
 
@@ -182,6 +183,9 @@ class Tracer:
         self.audit = AuditLog()
         #: Kernel instrumentation, when installed (set by ``install``).
         self.kernel: Any = None
+        #: Connectors already carrying this tracer's observer, held
+        #: weakly (see ``instrument_connector``).
+        self._connectors: weakref.WeakSet[Any] = weakref.WeakSet()
         self._stack: list[Span] = []
         self._next_id = 1
         self._suppressed = 0

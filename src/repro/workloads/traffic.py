@@ -34,13 +34,6 @@ class TrafficStats:
         done = self.succeeded + self.failed
         return self.succeeded / done if done else 1.0
 
-    def percentile_latency(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, int(q / 100 * len(ordered)))
-        return ordered[index]
-
 
 class OpenLoopGenerator:
     """Issues requests at a (possibly Poisson) arrival rate."""

@@ -3,13 +3,10 @@
 region — in any process, on any backend, after any replay — mints the
 same ids for the same work."""
 
-import pytest
-
 from repro.netsim import (
     Message,
     MessageIdAllocator,
     current_allocator,
-    reset_message_ids,
     use_allocator,
 )
 from repro.parallel import MSG_ID_STRIDE
@@ -19,10 +16,6 @@ class TestMessageIdAllocator:
     def test_allocates_sequential_ids(self):
         allocator = MessageIdAllocator(100)
         assert [allocator.allocate() for _ in range(3)] == [100, 101, 102]
-
-    def test_custom_stride(self):
-        allocator = MessageIdAllocator(5, stride=10)
-        assert [allocator.allocate() for _ in range(3)] == [5, 15, 25]
 
     def test_use_allocator_returns_previous(self):
         original = current_allocator()
@@ -67,17 +60,3 @@ class TestMessageIdAllocator:
         ids_b = {b.allocate() for _ in range(1000)}
         assert not ids_a & ids_b
 
-
-class TestDeprecatedGlobalReset:
-    def test_reset_message_ids_warns(self):
-        with pytest.warns(DeprecationWarning):
-            reset_message_ids()
-
-    def test_reset_still_resets_the_default_allocator(self):
-        with pytest.warns(DeprecationWarning):
-            reset_message_ids()
-        first = Message(source="a", destination="b", endpoint="e").msg_id
-        with pytest.warns(DeprecationWarning):
-            reset_message_ids()
-        again = Message(source="a", destination="b", endpoint="e").msg_id
-        assert first == again

@@ -12,6 +12,7 @@ from repro.netsim import (
     RegionNetwork,
     use_allocator,
 )
+from repro.telemetry import install
 
 
 def two_region_partition():
@@ -272,3 +273,149 @@ class TestRegionNetwork:
         sim.run(until=1.0)
         assert net.stats.dropped_no_route == 1
         assert net.in_flight == 0
+
+    # -- boundary path: pinned values ---------------------------------------
+
+    def test_cross_sends_queue_on_every_leg_link_and_the_boundary(self):
+        """leaf -> mid -> hub, two sends at one instant: each link is
+        slower than the one before, so the second message waits behind
+        the first on both leg links and on the boundary transmitter."""
+        partition = Partition(2)
+        for name in ("hub0", "m0", "n0_0"):
+            partition.assign(name, 0)
+        for name in ("hub1", "n1_0"):
+            partition.assign(name, 1)
+        partition.add_boundary("hub0", "hub1", latency=0.01,
+                               bandwidth=64_000)
+        use_allocator(MessageIdAllocator(1))
+        sim = Simulator()
+        net = RegionNetwork(sim, partition, 0)
+        for name in ("hub0", "m0", "n0_0"):
+            net.add_node(name)
+        net.add_link("n0_0", "m0", latency=0.001, bandwidth=256_000)
+        net.add_link("m0", "hub0", latency=0.001, bandwidth=128_000)
+        for _ in range(2):
+            net.send(Message(source="n0_0", destination="n1_0",
+                             endpoint="svc"))
+        sim.run(until=1.0)
+        assert net.outbox == [
+            ("msg", 0, 1, "hub1", 0.019000000000000003, 0, "n0_0", "n1_0",
+             "svc", None, 256, {}, 0.0, (0, 1)),
+            ("msg", 0, 1, "hub1", 0.023, 1, "n0_0", "n1_0",
+             "svc", None, 256, {}, 0.0, (0, 2)),
+        ]
+        assert net.forwarded_out == 2
+        assert net.in_flight == 0
+
+    def test_loss_on_the_leg_and_the_boundary(self):
+        partition = Partition(2)
+        for region in (0, 1):
+            partition.assign(f"hub{region}", region)
+            partition.assign(f"n{region}_0", region)
+        partition.add_boundary("hub0", "hub1", latency=0.01, loss=0.3)
+        use_allocator(MessageIdAllocator(1))
+        sim = Simulator()
+        net = RegionNetwork(sim, partition, 0, seed=11)
+        net.add_node("hub0")
+        net.add_node("n0_0")
+        leg = net.add_link("n0_0", "hub0", latency=0.001, loss=0.3)
+        for k in range(20):
+            sim.schedule(net.send, Message(source="n0_0", destination="n1_0",
+                                           endpoint="svc"), at=k * 0.01)
+        sim.run(until=1.0)
+        # 7 lost on the leg, 3 more on the boundary.
+        assert net.stats.dropped_loss == 10
+        assert leg.dropped_messages == 7
+        assert [(record[4], record[5], record[13])
+                for record in net.outbox] == [
+            (0.011512, 0, (0, 1)), (0.021512, 1, (0, 2)),
+            (0.031512, 2, (0, 3)), (0.051512, 3, (0, 5)),
+            (0.081512, 4, (0, 8)), (0.10151199999999999, 5, (0, 10)),
+            (0.111512, 6, (0, 11)), (0.18151200000000003, 7, (0, 18)),
+            (0.19151200000000002, 8, (0, 19)),
+            (0.20151200000000002, 9, (0, 20)),
+        ]
+        assert net.in_flight == 0
+
+    def test_cross_send_over_a_failed_leg_link_drops(self):
+        partition = two_region_partition()
+        sim, net, _ = build_region(partition, 0)
+        net.route("n0_0", "hub0")  # cached before the failure
+        net.link_between("n0_0", "hub0").fail()
+        net.send(Message(source="n0_0", destination="n1_1", endpoint="svc"))
+        sim.run(until=1.0)
+        assert net.stats.dropped_link_down == 1
+        assert net.outbox == []
+        assert net.in_flight == 0
+
+    def test_transit_from_entry_node_to_a_different_exit_gateway(self):
+        """Region 1 is entered at g1a and left at g1b: the transit
+        message crosses the g1a-g1b link before the second boundary."""
+        partition = Partition(3)
+        layout = {0: ("hub0", "n0_0"), 1: ("g1a", "g1b"),
+                  2: ("hub2", "n2_0")}
+        for region, names in layout.items():
+            for name in names:
+                partition.assign(name, region)
+        partition.add_boundary("hub0", "g1a", latency=0.01)
+        partition.add_boundary("g1b", "hub2", latency=0.02)
+        sims, nets, arrivals = {}, {}, []
+        for region, (a, b) in layout.items():
+            use_allocator(MessageIdAllocator(region * 1_000_000 + 1))
+            sims[region] = Simulator()
+            nets[region] = RegionNetwork(sims[region], partition, region,
+                                         seed=region)
+            nets[region].add_node(a)
+            nets[region].add_node(b)
+            nets[region].add_link(a, b, latency=0.003)
+        nets[2].node("n2_0").bind_endpoint(
+            "svc", lambda node, msg: arrivals.append(sims[2].now))
+        nets[0].send(Message(source="n0_0", destination="n2_0",
+                             endpoint="svc"))
+        drive_rounds(partition, sims, nets, until=1.0)
+        assert nets[1].ingressed == 1
+        assert nets[1].forwarded_out == 1
+        assert nets[1].stats.delivered == 0
+        assert arrivals == [0.04028]
+        assert [net.in_flight for net in nets.values()] == [0, 0, 0]
+
+    def test_traced_cross_message_spans_in_both_regions(self):
+        partition = two_region_partition()
+        sims, nets, tracers = {}, {}, {}
+        for region in (0, 1):
+            sims[region], nets[region], _ = build_region(partition, region)
+            tracers[region] = install(sims[region], kernel_detail=None)
+        use_allocator(MessageIdAllocator(1))
+        nets[0].send(Message(source="n0_0", destination="n1_1",
+                             endpoint="svc"))
+        drive_rounds(partition, sims, nets, until=1.0)
+
+        def records(region):
+            return [(span.category, span.name, span.start, span.end,
+                     span.args) for span in tracers[region].spans]
+
+        assert records(0) == [
+            ("net.hop", "n0_0->hub0", 0.0, 0.001256,
+             {"msg_id": 1, "queued": 0.0, "transmission": 0.000256,
+              "propagation": 0.001}),
+            ("net.hop", "hub0->hub1", 0.001256, 0.011512,
+             {"msg_id": 1, "queued": 0.0, "transmission": 0.000256,
+              "propagation": 0.01}),
+            ("net.msg", "n0_0->n1_1/svc", 0.0, 0.001256,
+             {"msg_id": 1, "size": 256, "outcome": "egress:r1"}),
+        ]
+        assert records(1) == [
+            ("net.hop", "hub1->n1_1", 0.011512, 0.012768,
+             {"msg_id": 2, "queued": 0.0, "transmission": 0.000256,
+              "propagation": 0.001}),
+            ("net.msg", "n0_0->n1_1/svc@r1", 0.011512, 0.012768,
+             {"msg_id": 2, "size": 256, "origin": "r0#1",
+              "outcome": "delivered", "latency": 0.012768}),
+        ]
+
+    def test_send_to_a_node_no_region_owns_raises(self):
+        partition = two_region_partition()
+        _, net, _ = build_region(partition, 0)
+        with pytest.raises(NetworkError):
+            net.send(Message(source="n0_0", destination="ghost",
+                             endpoint="svc"))

@@ -177,3 +177,27 @@ class TestFigure1Trace:
         # Not vacuous: the trace has real content behind the checksum.
         assert len(chrome_trace(first)["traceEvents"]) > 100
         assert len(first.audit) > 0
+
+
+class TestInstrumentAssembly:
+    def test_instrumenting_twice_records_each_invocation_once(self):
+        sim = Simulator()
+        tracer = install(sim, kernel_detail=None)
+        assembly = Assembly(star(sim, leaves=2), name="twice")
+        serving = ServingComponent("serving")
+        serving.provide("svc", media_interface())
+        assembly.deploy(serving, "leaf0")
+        connector = RpcConnector("media-connector", media_interface())
+        connector.attach("server", serving.provided_port("svc"))
+        assembly.add_connector(connector)
+        client = Component("client")
+        client.require("media", media_interface())
+        assembly.deploy(client, "leaf1")
+        assembly.connect("client", "media",
+                         target=connector.endpoint("client"))
+        instrument_assembly(tracer, assembly)
+        instrument_assembly(tracer, assembly)
+        client.required_port("media").call("render", "f")
+        spans = [span for span in tracer.spans
+                 if span.category == "connector"]
+        assert [span.name for span in spans] == ["media-connector.render"]
