@@ -43,20 +43,20 @@ class Serving(Component):
         return frame
 
 
-def run_figure1(sampling=None, kernel_detail=None, capacity=None) -> dict:
+def run_figure1(sample_rate=None, seed=0, kernel_detail=None) -> dict:
     """Drive the Figure-1 loop; optionally under telemetry.
 
-    ``sampling`` (a :class:`repro.telemetry.SamplingPolicy`) and/or
-    ``kernel_detail`` install the tracer before the run — this is how
-    the CI trace-artifact exporter reuses the scenario — and the tracer
-    comes back in the result under ``"tracer"``.
+    ``sample_rate`` (with its sampling ``seed``) and/or ``kernel_detail``
+    install the tracer before the run — this is how the CI
+    trace-artifact exporter reuses the scenario — and the tracer comes
+    back in the result under ``"tracer"``.
     """
     sim = Simulator()
     tracer = None
-    if sampling is not None or kernel_detail is not None:
+    if sample_rate is not None or kernel_detail is not None:
         tracer = telemetry.install(
-            sim, kernel_detail=kernel_detail, sampling=sampling,
-            capacity=capacity or telemetry.DEFAULT_CAPACITY)
+            sim, sample_rate=1.0 if sample_rate is None else sample_rate,
+            seed=seed, kernel_detail=kernel_detail)
     assembly = Assembly(star(sim, leaves=3))
     serving_a = Serving("serving-a")
     serving_a.provide("svc", media_interface())

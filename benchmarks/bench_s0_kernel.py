@@ -190,8 +190,7 @@ class ChurnDriver:
         self.completed = 0
         self.timed_out = 0
         # The seed stand-in only speaks the pre-unification positional
-        # shape; the real kernel is driven through the canonical one so
-        # the measured fast path never pays the deprecation shim.
+        # shape; the real kernel only the canonical one.
         self._seed_shape = isinstance(sim, LegacySimulator)
 
     def _mix(self, *parts: float) -> None:

@@ -23,7 +23,7 @@ sampled storms are each run twice and must produce byte-identical
 Chrome trace checksums — sampling decisions come from a seeded stream.
 
 Full runs land in ``BENCH_telemetry.json`` (the document
-``repro.telemetry.dashboard`` folds PR-over-PR and
+``benchmarks/dashboard.py`` folds PR-over-PR and
 ``check_bench_regression.py`` gates); ``--smoke`` runs default to the
 gitignored ``BENCH_telemetry.smoke.json`` so short noisy runs never
 replace the canonical artifact.  Run standalone::
@@ -49,7 +49,6 @@ from repro import Simulator, telemetry
 from repro.events import PeriodicTimer
 from repro.netsim.message import Message, MessageIdAllocator, use_allocator
 from repro.netsim.topology import star
-from repro.telemetry import SamplingPolicy
 
 from bench_s0_kernel import ChurnDriver
 from conftest import fmt, peak_rss_mb, print_table
@@ -83,11 +82,10 @@ def run_churn_once(sessions: int, mode: str) -> dict:
     tracer = None
     if MODES[mode] is not None:
         enabled, detail, rate = MODES[mode]
-        sampling = (None if rate is None else
-                    SamplingPolicy(rate=rate, seed=SAMPLING_SEED))
         tracer = telemetry.install(sim, enabled=enabled,
                                    kernel_detail=detail,
-                                   sampling=sampling)
+                                   sample_rate=1.0 if rate is None else rate,
+                                   seed=SAMPLING_SEED)
     driver = ChurnDriver(sim, sessions)
     scheduled = driver.load()
     PeriodicTimer(sim, 1.0, driver.poll, name="poller")
@@ -144,12 +142,11 @@ def run_storm_mode(messages: int, traced: bool,
         # Full-rate lineage keeps 3 spans per message (flow + 2 hops):
         # size the ring to hold the whole run so the ledger assertion
         # below stays meaningful.  Sampled runs fit the default ring.
-        sampling = (None if rate is None else
-                    SamplingPolicy(rate=rate, seed=SAMPLING_SEED))
         capacity = (telemetry.DEFAULT_CAPACITY if rate is not None
                     else max(telemetry.DEFAULT_CAPACITY, 4 * messages))
         tracer = telemetry.install(sim, kernel_detail=None,
-                                   sampling=sampling, capacity=capacity)
+                                   sample_rate=1.0 if rate is None else rate,
+                                   seed=SAMPLING_SEED, ring_slots=capacity)
     net = star(sim, leaves=4)
     delivered = []
     for i in range(4):

@@ -1,22 +1,21 @@
 """PR-over-PR observability dashboard: is telemetry getting cheaper?
 
-``BENCH_telemetry.json`` is one run's worth of truth; this module folds
+``BENCH_telemetry.json`` is one run's worth of truth; this tool folds
 a sequence of such runs — one per PR, commit or nightly — into a
 history with regression deltas, so the cost of observing the platform is
 itself observed over time (the same discipline ``BENCH_kernel.json``
 applies to the kernel).
 
-* :func:`category_stats` — fold one tracer's span ring into per-category
-  stats (span count, simulated self time, wall ms, drops) — the shape
-  the bench embeds under ``"categories"``.
-* :class:`Dashboard` — an append-only JSONL history of run entries with
-  :meth:`deltas` (metric-by-metric change between consecutive runs),
-  :meth:`regressions` (changes in the *bad* direction beyond a
-  threshold) and :meth:`render` (the terminal table).
+:class:`Dashboard` is an append-only JSONL history of run entries with
+:meth:`~Dashboard.deltas` (metric-by-metric change between consecutive
+runs), :meth:`~Dashboard.regressions` (changes in the *bad* direction
+beyond a threshold) and :meth:`~Dashboard.render` (the terminal table).
+A bench document's per-category span stats come from
+:func:`repro.telemetry.category_stats`.
 
 CLI (CI appends one entry per build and uploads the history)::
 
-    python -m repro.telemetry.dashboard BENCH_telemetry.json \
+    python benchmarks/dashboard.py BENCH_telemetry.json \
         --history TELEMETRY_DASHBOARD.jsonl --label PR7
 """
 
@@ -26,10 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.tracer import Tracer
+from typing import Any, Iterable
 
 #: Columns the rendered table shows: (header, dotted path into an entry).
 DEFAULT_COLUMNS = [
@@ -52,26 +48,6 @@ _LOWER_IS_BETTER = ("overhead", "drops", "dropped", "sync_stalls",
                     "peak_rss", "bytes_per_node")
 #: ... and these when it decreases.
 _HIGHER_IS_BETTER = ("per_sec", "speedup")
-
-
-def category_stats(tracer: "Tracer") -> dict[str, dict[str, float]]:
-    """Per-span-category stats for one run, ready for an entry."""
-    stats: dict[str, list[float]] = {}
-    for span in tracer.ring:
-        row = stats.get(span.category)
-        if row is None:
-            row = stats[span.category] = [0, 0.0, 0.0]
-        row[0] += 1
-        row[1] += span.duration
-        row[2] += span.wall
-    return {
-        category: {
-            "spans": int(count),
-            "sim_time": round(sim_time, 9),
-            "wall_ms": round(wall * 1000, 3),
-        }
-        for category, (count, sim_time, wall) in sorted(stats.items())
-    }
 
 
 def _lookup(entry: dict, dotted: str) -> Any:

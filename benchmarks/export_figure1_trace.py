@@ -28,12 +28,7 @@ for _path in (str(_ROOT), str(_ROOT / "src"), str(_ROOT / "benchmarks")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.telemetry import (
-    SamplingPolicy,
-    folded_stacks,
-    write_chrome_trace,
-    write_folded,
-)
+from repro.telemetry import folded_stacks, write_chrome_trace, write_folded
 
 from bench_f1_figure1_scenario import run_figure1
 
@@ -52,9 +47,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="folded-stack (flamegraph) output")
     cli = parser.parse_args(argv)
 
-    result = run_figure1(
-        sampling=SamplingPolicy(rate=cli.rate, seed=cli.seed),
-        kernel_detail="events")
+    result = run_figure1(sample_rate=cli.rate, seed=cli.seed,
+                         kernel_detail="events")
     tracer = result["tracer"]
 
     trace_path = write_chrome_trace(tracer, cli.trace)

@@ -2,9 +2,8 @@
 
 import json
 
-from repro.events import Simulator
-from repro.telemetry import Dashboard, Tracer, category_stats
-from repro.telemetry.dashboard import main as dashboard_main
+from dashboard import Dashboard
+from dashboard import main as dashboard_main
 
 
 def bench_doc(disabled=0.2, sampled=6.0, off_eps=400_000.0, drops=0):
@@ -22,24 +21,6 @@ def bench_doc(disabled=0.2, sampled=6.0, off_eps=400_000.0, drops=0):
         "drops": drops,
         "span_buffer_bytes": 4096,
     }
-
-
-class TestCategoryStats:
-    def test_folds_ring_by_category(self):
-        tracer = Tracer(Simulator())
-        sim = tracer.sim
-        with tracer.span("connector", "call"):
-            sim.run(until=0.5)
-        tracer.emit("net.msg", "flow", 0.0, 1.5)
-        tracer.emit("net.msg", "flow2", 0.0, 0.5)
-        stats = category_stats(tracer)
-        assert stats["connector"]["spans"] == 1
-        assert stats["connector"]["sim_time"] == 0.5
-        assert stats["net.msg"]["spans"] == 2
-        assert stats["net.msg"]["sim_time"] == 2.0
-
-    def test_empty_tracer(self):
-        assert category_stats(Tracer(Simulator())) == {}
 
 
 class TestDashboard:

@@ -110,20 +110,6 @@ class Intercessor:
 
     # -- lightweight (no quiescence) ----------------------------------------------
 
-    def attach_interceptor(self, component_name: str, port_name: str,
-                           interceptor: Any) -> None:
-        port = self.assembly.component(component_name).provided_port(port_name)
-        port.add_interceptor(interceptor)
-        self._audit(f"attach-interceptor:{component_name}.{port_name}",
-                    "adaptation", outcome="applied")
-
-    def remove_interceptor(self, component_name: str, port_name: str,
-                           interceptor: Any) -> None:
-        port = self.assembly.component(component_name).provided_port(port_name)
-        port.remove_interceptor(interceptor)
-        self._audit(f"remove-interceptor:{component_name}.{port_name}",
-                    "adaptation", outcome="applied")
-
     def swap_connector_attachment(self, connector_name: str, role: str,
                                   old_target: Any, new_target: Any) -> None:
         try:

@@ -37,17 +37,12 @@ Scheduling surface (canonical shapes, all returning :class:`Event`)::
     sim.call_soon(callback, *args)               # now, after same-time peers
     sim.schedule_many([(1.5, callback), ...])    # bulk, one heapify
     sim.run()
-
-The pre-unification positional shapes ``schedule(delay, callback, ...)``
-and ``at(time, callback, ...)`` keep working behind a
-``DeprecationWarning`` (see the migration note in ``docs/API.md``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -118,8 +113,8 @@ class Event:
 class Simulator:
     """Event loop with a simulated clock.
 
-    The clock only advances when :meth:`run` or :meth:`step` executes
-    events; scheduling is side-effect free until then.
+    The clock only advances when :meth:`run` executes events;
+    scheduling is side-effect free until then.
     """
 
     def __init__(self) -> None:
@@ -216,7 +211,7 @@ class Simulator:
 
     def schedule(
         self,
-        callback: Callable[..., Any] | float,
+        callback: Callable[..., Any],
         *args: Any,
         delay: float | None = None,
         at: float | None = None,
@@ -230,9 +225,9 @@ class Simulator:
           (default ``0.0``, i.e. :meth:`call_soon` semantics);
         * ``at=`` — absolute simulated time.
 
-        Returns the :class:`Event` handle (cancellable).  The legacy
-        positional shape ``schedule(delay, callback, *args)`` still
-        works behind a :class:`DeprecationWarning`.
+        Returns the :class:`Event` handle (cancellable).  A non-callable
+        first argument, as in ``schedule(0.5, callback)``, raises
+        :class:`TypeError` here rather than when the event fires.
         """
         if callable(callback):
             if at is None:
@@ -247,47 +242,30 @@ class Simulator:
                 raise TypeError(
                     "schedule() takes either delay= or at=, not both")
             return self._schedule_at(at, callback, args, priority)
-        # Legacy shape: schedule(delay, callback, *args).
-        warnings.warn(
-            "Simulator.schedule(delay, callback, ...) is deprecated; "
-            "use schedule(callback, ..., delay=...) "
-            "(see docs/API.md, scheduling-API migration note)",
-            DeprecationWarning, stacklevel=2)
-        if delay is not None or at is not None or not args:
-            raise TypeError("schedule() first argument must be callable")
-        legacy_delay = callback
-        if legacy_delay < 0:
-            raise ClockError(
-                f"cannot schedule {legacy_delay} time units in the past")
-        return self._schedule_at(self._now + legacy_delay, args[0], args[1:],
-                                 priority)
+        raise TypeError(
+            f"schedule() first argument must be callable, got "
+            f"{type(callback).__name__}; use schedule(callback, *args, "
+            "delay=...) or at=...")
 
     def at(
         self,
-        callback: Callable[..., Any] | float,
+        callback: Callable[..., Any],
         *args: Any,
         when: float | None = None,
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
-        Returns the :class:`Event` handle.  The legacy positional shape
-        ``at(time, callback, *args)`` still works behind a
-        :class:`DeprecationWarning`.
+        Returns the :class:`Event` handle.  A non-callable first
+        argument raises :class:`TypeError`, as in :meth:`schedule`.
         """
         if callable(callback):
             if when is None:
                 raise TypeError("at() requires the when= keyword")
             return self._schedule_at(when, callback, args, priority)
-        # Legacy shape: at(time, callback, *args).
-        warnings.warn(
-            "Simulator.at(time, callback, ...) is deprecated; "
-            "use at(callback, ..., when=...) "
-            "(see docs/API.md, scheduling-API migration note)",
-            DeprecationWarning, stacklevel=2)
-        if when is not None or not args:
-            raise TypeError("at() first argument must be callable")
-        return self._schedule_at(callback, args[0], args[1:], priority)
+        raise TypeError(
+            f"at() first argument must be callable, got "
+            f"{type(callback).__name__}; use at(callback, *args, when=...)")
 
     def call_soon(
         self,
@@ -365,7 +343,7 @@ class Simulator:
 
         Pure with respect to live events, but pops cancelled garbage off
         the heap top while peeking (the entries would be discarded by the
-        next :meth:`step` anyway).  This is the kernel-level *promise*
+        next :meth:`run` anyway).  This is the kernel-level *promise*
         primitive: nothing can happen in this simulator — in particular
         no boundary egress — before this time.
         """
@@ -405,32 +383,6 @@ class Simulator:
         return removed
 
     # -- execution --------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            event = entry[3]
-            if event.cancelled:
-                self._garbage -= 1
-                continue
-            self._live -= 1
-            event._sim = None
-            self._now = entry[0]
-            self._executed += 1
-            hooks = self._hooks
-            if hooks is None or not event.traced:
-                event.callback(*event.args)
-            else:
-                hooks.event_begin(event)
-                start = perf_counter()
-                try:
-                    event.callback(*event.args)
-                finally:
-                    hooks.event_end(event, perf_counter() - start)
-            return True
-        return False
 
     def run(self, until: float | None = None, max_events: int | None = None,
             inclusive: bool = True) -> float:

@@ -110,22 +110,20 @@ class PeriodicTimer:
         if self._event is not None:
             self._event.cancel()
 
-    def set_period(self, period: float, *, reschedule_pending: bool = True) -> None:
+    def set_period(self, period: float) -> None:
         """Change the period.
 
-        By default the already-scheduled next tick is *rescheduled* onto
-        the new period: a tick pending at ``last + old_period`` moves to
+        The already-scheduled next tick is *rescheduled* onto the new
+        period: a tick pending at ``last + old_period`` moves to
         ``last + new_period`` (clamped to the current time if that is
         already past; any jitter offset drawn for the pending tick is
-        preserved).  Pass ``reschedule_pending=False`` for the legacy
-        behaviour where the in-flight tick still fires on the old period
-        and the new period only applies from the following tick.
+        preserved).
         """
         if period <= 0:
             raise ClockError(f"periodic timer period must be positive, got {period}")
         old_period = self.period
         self.period = period
-        if not reschedule_pending or self._stopped or self._in_tick:
+        if self._stopped or self._in_tick:
             # Inside the callback the next tick is not scheduled yet, so
             # the new period naturally applies to it — nothing to move.
             return

@@ -348,7 +348,7 @@ class ParallelSimulation:
         seed: forwarded to every builder — one seed, one reproducible
             partitioned run.
         telemetry: keyword arguments for
-            :func:`repro.telemetry.configure`, applied identically in
+            :func:`repro.telemetry.install`, applied identically in
             every region (e.g. ``{"sample_rate": 0.1, "seed": 7}``);
             ``None`` runs without telemetry.
         supervision: worker liveness/revival/shutdown knobs; defaults to

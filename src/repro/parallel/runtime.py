@@ -31,7 +31,7 @@ from typing import Any, Callable
 from repro.events import Simulator
 from repro.netsim.message import MessageIdAllocator, use_allocator
 from repro.netsim.partition import Partition, RegionNetwork
-from repro.telemetry.instrument import configure as _configure_telemetry
+from repro.telemetry.instrument import install as _install_telemetry
 from repro.telemetry.merge import region_records
 
 #: Message-id namespace stride: region ``r`` numbers its messages from
@@ -62,7 +62,7 @@ class RegionRuntime:
         self.partition = partition
         self.ids = MessageIdAllocator(region * MSG_ID_STRIDE + 1)
         self.sim = Simulator()
-        self.tracer = (_configure_telemetry(self.sim, **telemetry)
+        self.tracer = (_install_telemetry(self.sim, **telemetry)
                        if telemetry is not None else None)
         previous = use_allocator(self.ids)
         try:

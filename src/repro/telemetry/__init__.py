@@ -21,14 +21,14 @@ observable — at production overhead.
   transaction phases, control-loop actuations.
 * Exporters — JSONL, Chrome ``trace_event`` (Perfetto-loadable),
   folded stacks (:func:`folded_stacks` → flamegraph.pl / speedscope),
-  the terminal summary/narrator, and the PR-over-PR
-  :class:`~repro.telemetry.dashboard.Dashboard`.
+  the terminal summary/narrator and the per-category fold
+  :func:`category_stats`.
 
 Quick start (one-call setup — tracer, sampler and span ring wired)::
 
     from repro import telemetry
 
-    tracer = telemetry.configure(
+    tracer = telemetry.install(
         sim, sample_rate=0.01, seed=7,
         categories={"net.msg": 0.001})   # per-category rate override
     ...
@@ -38,7 +38,6 @@ Quick start (one-call setup — tracer, sampler and span ring wired)::
 """
 
 from repro.telemetry.audit import AuditLog, AuditRecord
-from repro.telemetry.dashboard import Dashboard, category_stats
 from repro.telemetry.export import (
     chrome_trace,
     chrome_trace_json,
@@ -61,7 +60,6 @@ from repro.telemetry.merge import (
     region_records,
 )
 from repro.telemetry.instrument import (
-    configure,
     install,
     instrument_assembly,
     instrument_connector,
@@ -69,7 +67,7 @@ from repro.telemetry.instrument import (
 )
 from repro.telemetry.ring import DEFAULT_CAPACITY, SpanRing
 from repro.telemetry.sampling import ALWAYS_ON_CATEGORIES, Sampler, SamplingPolicy
-from repro.telemetry.summary import Narrator, render_summary
+from repro.telemetry.summary import Narrator, category_stats, render_summary
 from repro.telemetry.tracer import Instant, Span, Tracer
 
 __all__ = [
@@ -77,7 +75,6 @@ __all__ = [
     "AuditLog",
     "AuditRecord",
     "DEFAULT_CAPACITY",
-    "Dashboard",
     "EXTERNAL",
     "Instant",
     "KernelInstrumentation",
@@ -90,7 +87,6 @@ __all__ = [
     "category_stats",
     "chrome_trace",
     "chrome_trace_json",
-    "configure",
     "folded_stacks",
     "install",
     "instrument_assembly",

@@ -30,66 +30,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.simulator import Simulator
 
 
-def install(sim: "Simulator", enabled: bool = True,
-            kernel_detail: str | None = "aggregate",
-            sampling: SamplingPolicy | None = None,
-            capacity: int = DEFAULT_CAPACITY) -> Tracer:
-    """Create and attach a tracer to ``sim``.
+def install(sim: "Simulator", *,
+            enabled: bool = True,
+            sample_rate: float = 1.0,
+            ring_slots: int = DEFAULT_CAPACITY,
+            categories: dict[str, float] | None = None,
+            always: Iterable[str] = ALWAYS_ON_CATEGORIES,
+            seed: int = 0,
+            kernel_detail: str | None = "aggregate") -> Tracer:
+    """Create and attach a tracer to ``sim``: tracer, sampler and span
+    ring, wired in one call::
 
-    Args:
-        enabled: start recording immediately; a disabled tracer costs one
-            boolean check per call site and installs no kernel hooks.
-        kernel_detail: ``"aggregate"`` (per-site counters),
-            ``"events"`` (full kernel timeline in the trace) or ``None``
-            (no kernel hooks at all).
-        sampling: head-based sampling policy; default records every trace
-            root and kernel event.  ``SamplingPolicy(rate=0.01)`` is the
-            production-overhead configuration: one trace root (and one
-            kernel event) in a hundred, ``always`` categories exempt.
-        capacity: span-ring slots (see
-            :class:`~repro.telemetry.ring.SpanRing`); the ring drops
-            oldest-first once full and counts the drops.
-    """
-    tracer = Tracer(sim, enabled=enabled, sampling=sampling,
-                    capacity=capacity)
-    if kernel_detail is not None:
-        policy = tracer.sampling
-        # The kernel draws from its own stream so enabling/disabling span
-        # consumers never shifts which events get sampled (and vice versa).
-        sampler = (Sampler(policy.rate, policy.seed, stream=2)
-                   if policy.rate < 1.0 else None)
-        tracer.kernel = KernelInstrumentation(tracer, detail=kernel_detail,
-                                              sampler=sampler)
-        if enabled:
-            sim.set_hooks(tracer.kernel)
-    sim.tracer = tracer
-    return tracer
-
-
-def configure(sim: "Simulator", *,
-              enabled: bool = True,
-              sample_rate: float = 1.0,
-              ring_slots: int = DEFAULT_CAPACITY,
-              categories: dict[str, float] | None = None,
-              always: Iterable[str] = ALWAYS_ON_CATEGORIES,
-              seed: int = 0,
-              kernel_detail: str | None = "aggregate") -> Tracer:
-    """One-call telemetry setup: tracer + sampler + span ring, wired.
-
-    Replaces the constructor plumbing callers previously did by hand
-    (build a :class:`SamplingPolicy`, pick a ring capacity, thread both
-    through :func:`install`)::
-
-        tracer = telemetry.configure(
+        tracer = telemetry.install(
             sim, sample_rate=0.01, ring_slots=1 << 17,
             categories={"net.msg": 0.001, "connector": 0.1})
 
     Args:
-        enabled: start recording immediately (disabled telemetry stays
-            on the free path until :meth:`Tracer.enable`).
-        sample_rate: global head-sampling rate for trace roots in
-            [0, 1]; ``1.0`` records everything.
-        ring_slots: span-ring capacity (overwrite-oldest once full).
+        enabled: start recording immediately; a disabled tracer costs one
+            boolean check per call site and installs no kernel hooks
+            until :meth:`Tracer.enable`.
+        sample_rate: global head-sampling rate for trace roots and kernel
+            events in [0, 1]; ``1.0`` records everything, ``0.01`` is
+            the production-overhead setting.
+        ring_slots: span-ring capacity (see
+            :class:`~repro.telemetry.ring.SpanRing`); the ring drops
+            oldest-first once full and counts the drops.
         categories: per-category sample-rate overrides, e.g. run a
             chatty flow category at 0.1% while the rest samples at 1%.
             ``always`` categories ignore both the global rate and any
@@ -98,17 +63,28 @@ def configure(sim: "Simulator", *,
             meta-level decision categories).
         seed: sampling-stream seed — same seed, same workload, same
             sampled span set (the determinism contract).
-        kernel_detail: kernel-hook level passed to :func:`install`
-            (``"aggregate"``, ``"events"`` or ``None``).
+        kernel_detail: ``"aggregate"`` (per-site counters),
+            ``"events"`` (full kernel timeline in the trace) or ``None``
+            (no kernel hooks at all).
 
     Returns the attached :class:`Tracer` (also reachable as
-    ``sim.tracer``).  Calling ``configure`` again replaces the previous
-    installation; configure before running, not mid-run.
+    ``sim.tracer``).  Installing again replaces the previous tracer and
+    its kernel hooks; install before running, not mid-run.
     """
     policy = SamplingPolicy(rate=sample_rate, always=always, seed=seed,
                             overrides=categories)
-    return install(sim, enabled=enabled, kernel_detail=kernel_detail,
-                   sampling=policy, capacity=ring_slots)
+    tracer = Tracer(sim, enabled=enabled, sampling=policy,
+                    capacity=ring_slots)
+    if kernel_detail is not None:
+        # The kernel draws from its own stream so enabling/disabling span
+        # consumers never shifts which events get sampled (and vice versa).
+        sampler = (Sampler(policy.rate, policy.seed, stream=2)
+                   if policy.rate < 1.0 else None)
+        tracer.kernel = KernelInstrumentation(tracer, detail=kernel_detail,
+                                              sampler=sampler)
+    sim.set_hooks(tracer.kernel if enabled else None)
+    sim.tracer = tracer
+    return tracer
 
 
 def uninstall(sim: "Simulator") -> None:

@@ -2,7 +2,9 @@
 
 :func:`render_summary` turns a tracer into the table a developer reads
 after a run — per-category simulated self-time profile, the hottest
-kernel call sites by wall-clock, counters and audit totals.
+kernel call sites by wall-clock, counters and audit totals.  Its span
+profile is :func:`category_stats`, the per-category fold the telemetry
+bench also embeds in ``BENCH_telemetry.json``.
 
 :class:`Narrator` replaces the ad-hoc ``print(f"t={sim.now} ...")``
 narration the demo and examples grew: every line is timestamped from the
@@ -34,6 +36,27 @@ def _table(title: str, headers: list[str], rows: list[list[Any]]) -> list[str]:
     return lines
 
 
+def category_stats(tracer: Tracer) -> dict[str, dict[str, float]]:
+    """Per-span-category stats for one run: span count, simulated time
+    and wall milliseconds, by category name."""
+    stats: dict[str, list[float]] = {}
+    for span in tracer.ring:
+        row = stats.get(span.category)
+        if row is None:
+            row = stats[span.category] = [0, 0.0, 0.0]
+        row[0] += 1
+        row[1] += span.duration
+        row[2] += span.wall
+    return {
+        category: {
+            "spans": int(count),
+            "sim_time": round(sim_time, 9),
+            "wall_ms": round(wall * 1000, 3),
+        }
+        for category, (count, sim_time, wall) in sorted(stats.items())
+    }
+
+
 def render_summary(tracer: Tracer, top: int = 10, wall: bool = True) -> str:
     """Human-readable profile of one traced run.
 
@@ -51,19 +74,14 @@ def render_summary(tracer: Tracer, top: int = 10, wall: bool = True) -> str:
             f"{tracer.ring.dropped} dropped oldest-first")
         sections.append("")
 
-    by_category: dict[str, tuple[int, float, float]] = {}
-    for span in tracer.ring:
-        count, sim_time, wall_s = by_category.get(span.category, (0, 0.0, 0.0))
-        by_category[span.category] = (
-            count + 1, sim_time + span.duration, wall_s + span.wall
-        )
+    by_category = category_stats(tracer)
     if by_category:
         rows = [
-            [category, count, f"{sim_time:.4f}"]
-            + ([f"{wall_s * 1000:.2f}"] if wall else [])
-            for category, (count, sim_time, wall_s) in sorted(
-                by_category.items(), key=lambda item: (-item[1][1], item[0])
-            )
+            [category, row["spans"], f"{row['sim_time']:.4f}"]
+            + ([f"{row['wall_ms']:.2f}"] if wall else [])
+            for category, row in sorted(
+                by_category.items(),
+                key=lambda item: (-item[1]["sim_time"], item[0]))
         ]
         headers = ["category", "spans", "sim-s"] + (["wall-ms"] if wall else [])
         sections.extend(_table("span profile (by simulated time)",

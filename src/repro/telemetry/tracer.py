@@ -164,9 +164,10 @@ class Tracer:
 
     Args:
         sampling: head-based sampling policy; the default records every
-            trace root (PR 2 behaviour).  Production installs pass e.g.
-            ``SamplingPolicy(rate=0.01)`` — one trace in a hundred, with
-            the ``always`` categories exempt.
+            trace root.  :func:`~repro.telemetry.install` builds it from
+            its ``sample_rate``, ``categories``, ``always`` and ``seed``
+            keywords: ``sample_rate=0.01`` keeps one trace in a hundred,
+            with the ``always`` categories exempt.
         capacity: span-ring slots; once full, the oldest span is
             overwritten and :attr:`drops` increments.
     """

@@ -13,11 +13,13 @@ from repro.core import (
     node_load_below,
     structural_consistency,
 )
+from repro.connectors import RpcConnector
 from repro.errors import RamlError
 from repro.events import Simulator
 from repro.kernel import Assembly, Invocation
 from repro.lts import Lts
 from repro.netsim import Message, star
+from repro.telemetry import install
 
 from tests.helpers import CounterComponent, counter_interface, make_flaky
 
@@ -307,6 +309,70 @@ class TestIntercession:
         _sim, _assembly, raml, _client, _server = wired_raml()
         raml.intercessor.migrate("server", "leaf2")
         assert len(raml.intercessor.transactions) == 1
+
+    def respond_once(self, raml, act):
+        """Sweep once under a tracer with a constraint that always fails
+        and a response that acts at once; returns the intercession audit."""
+        tracer = install(raml.assembly.sim, kernel_detail=None)
+        raml.add_constraint(
+            custom("always-bad", lambda view: ["bad"]),
+            Response(reconfigure=lambda raml_, violations: act(raml_),
+                     escalate_after=1))
+        record = raml.sweep()
+        assert record.reconfigured == ["always-bad"]
+        (report,) = raml.intercessor.transactions
+        assert report.state.value == "committed"
+        (audit,) = tracer.audit.of_kind("raml.intercession")
+        assert audit.fields["mechanism"] == "reconfiguration"
+        assert audit.fields["outcome"] == "committed"
+        return audit
+
+    def test_swap_connector_via_response(self):
+        _sim, assembly, raml, client, server = wired_raml()
+        assembly.disconnect(client.required_port("peer").binding)
+        front = RpcConnector("front", counter_interface())
+        front.attach("server", server.provided_port("svc"))
+        assembly.add_connector(front)
+        assembly.connect("client", "peer", target=front.endpoint("client"))
+        replacement = RpcConnector("front-v2", counter_interface())
+        audit = self.respond_once(
+            raml, lambda raml_: raml_.intercessor.swap_connector(
+                "front", replacement))
+        assert audit.fields["action"] == "swap-connector:front"
+        assert sorted(assembly.connectors) == ["front-v2"]
+        assert not front.enabled
+        client.required_port("peer").call("increment", 4)
+        assert server.state["total"] == 4
+
+    def test_add_component_via_response(self):
+        _sim, assembly, raml, _client, _server = wired_raml()
+        audit = self.respond_once(
+            raml, lambda raml_: raml_.intercessor.add_component(
+                fresh_counter("extra"), "leaf2"))
+        assert audit.fields["action"] == "add:extra"
+        assert "extra" in assembly.registry
+        assert assembly.component("extra").node_name == "leaf2"
+
+    def test_replace_implementation_via_response(self):
+        _sim, _assembly, raml, client, server = wired_raml()
+
+        class Doubling:
+            def __init__(self, state):
+                self.state = state
+
+            def increment(self, amount=1):
+                self.state["total"] += amount * 2
+                return self.state["total"]
+
+            def total(self):
+                return self.state["total"]
+
+        audit = self.respond_once(
+            raml, lambda raml_: raml_.intercessor.replace_implementation(
+                "server", "svc", Doubling(server.state)))
+        assert audit.fields["action"] == "reimplement:server.svc"
+        assert client.required_port("peer").call("increment", 5) == 10
+        assert server.state["total"] == 10
 
     def test_swap_attachment_unknown_connector_rejected(self):
         _sim, _assembly, raml, _client, _server = wired_raml()

@@ -68,7 +68,7 @@ class TestSinkMechanics:
 class TestTracerIntegration:
     def wired(self, store):
         sim = Simulator()
-        tracer = telemetry.configure(sim, sample_rate=1.0, seed=3)
+        tracer = telemetry.install(sim, sample_rate=1.0, seed=3)
         assembly = Assembly(star(sim, leaves=3))
         assembly.deploy(fresh_counter("server"), "leaf1")
         sink = DurableAuditSink(store).attach(tracer)

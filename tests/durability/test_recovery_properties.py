@@ -2,8 +2,9 @@
 
 The crash matrix in ``test_recovery_matrix.py`` crashes one fixed
 transaction.  Here Hypothesis generates transactions of 1–4 valid
-changes on a small star assembly (rewires, strong replacements with
-state transfer, additions, and a removal last), crashes each one at
+changes on a small star assembly (rewires, client migrations, strong
+replacements with state transfer, additions, and a removal last),
+crashes each one at
 every WAL point before and after the append, on both backends and
 through both entry points (``execute()``, or ``execute_async()`` with
 the crash firing inside the event loop), then rebuilds and recovers.
@@ -40,6 +41,7 @@ from repro.kernel import Assembly
 from repro.netsim import star
 from repro.reconfig import (
     AddComponent,
+    MigrateComponent,
     ReconfigurationTransaction,
     RemoveComponent,
     ReplaceComponent,
@@ -67,23 +69,26 @@ def build_assembly():
     return assembly
 
 
-#: (rewires as (client, server), replaced servers, leaves to add on,
-#: remove the spare last?)
+#: (rewires as (client, server), clients migrated to leaf2, replaced
+#: servers, leaves to add on, remove the spare last?)
 plans = st.tuples(
     st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=2),
     st.lists(st.integers(0, 1), max_size=2, unique=True),
+    st.lists(st.integers(0, 1), max_size=2, unique=True),
     st.lists(st.integers(0, 2), max_size=2),
     st.booleans(),
-).filter(lambda plan: 1 <= sum(map(len, plan[:3])) + plan[3] <= 4)
+).filter(lambda plan: 1 <= sum(map(len, plan[:-1])) + plan[-1] <= 4)
 
 
 def build_changes(plan):
     """Fresh change objects, ordered so each applies: rewires,
-    replacements, additions, then the removal."""
-    rewires, replaced, adds, remove = plan
+    migrations, replacements, additions, then the removal."""
+    rewires, migrated, replaced, adds, remove = plan
     changes = [RewireBinding(f"c{client}", "peer",
                              target_component=f"s{server}")
                for client, server in rewires]
+    changes += [MigrateComponent(f"c{client}", "leaf2")
+                for client in migrated]
     changes += [ReplaceComponent(f"s{server}", fresh_counter(f"s{server}b"))
                 for server in replaced]
     changes += [AddComponent(fresh_counter(f"extra{index}"), f"leaf{leaf}")
@@ -150,14 +155,14 @@ def test_every_crash_recovers_to_pre_or_post_never_hybrid(open_store, entry,
 
 @settings(max_examples=25, deadline=None)
 @given(plans, st.none() | st.integers(0, 4))
-@example(plan=([], [], [2], False), fail_at=0)
+@example(plan=([], [], [], [2], False), fail_at=0)
 def test_execute_and_execute_async_run_one_window(plan, fail_at):
     outcomes = []
     for entry in ("sync", "async"):
         changes = build_changes(plan)
         if fail_at is not None:
             # Never after the removal: a stopped component cannot revert.
-            last = len(changes) - plan[3]
+            last = len(changes) - plan[-1]
             changes.insert(min(fail_at, last), ExplodingChange())
         wal = WriteAheadLog(MemoryStore())
         txn = ReconfigurationTransaction(build_assembly(), name="txn",

@@ -17,9 +17,11 @@ from repro.kernel import Assembly
 from repro.netsim import star
 from repro.reconfig import (
     AddComponent,
+    MigrateComponent,
     ReconfigurationTransaction,
     TransactionState,
 )
+from repro.reconfig.state_transfer import state_size
 
 from tests.durability.helpers import (
     build_assembly,
@@ -69,6 +71,21 @@ class TestForwardPath:
         assert replace["new"] == "server2"
         assert replace["transfer"] is True
         assert replace["state_keys"] == ["total"]
+
+    def test_migration_apply_record_carries_its_payload(self):
+        store = MemoryStore()
+        assembly = build_assembly()
+        state_bytes = state_size(assembly.component("server"))
+        txn = ReconfigurationTransaction(assembly, name="t-move",
+                                         wal=WriteAheadLog(store))
+        txn.add(MigrateComponent("server", "leaf2")).execute()
+        (apply,) = [record for record in WriteAheadLog(store).records("t-move")
+                    if record["phase"] == "apply"]
+        assert apply["payload"] == {"component": "server", "source": "leaf1",
+                                    "state_bytes": state_bytes,
+                                    "target": "leaf2"}
+        assert state_bytes > 0
+        assert assembly.component("server").node_name == "leaf2"
 
     def test_replacement_state_snapshot_is_journaled(self):
         store = MemoryStore()

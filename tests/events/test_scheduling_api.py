@@ -1,9 +1,8 @@
-"""The unified scheduling surface (PR 8 satellite).
+"""The unified scheduling surface.
 
 One canonical shape across the API — callable first, times by keyword
 (``delay=`` / ``at=`` / ``when=``), every entry point returning the
-:class:`Event` handle — with the legacy positional shapes still working
-behind a :class:`DeprecationWarning`.
+:class:`Event` handle.  The old positional shapes raise at the call.
 """
 
 import warnings
@@ -99,35 +98,28 @@ class TestCanonicalShapes:
 
 
 class TestLegacyShapes:
-    def test_legacy_schedule_warns_and_works(self, sim):
-        log = []
-        with pytest.warns(DeprecationWarning, match="delay="):
-            event = sim.schedule(0.5, recorder(log, "legacy"), 1)
-        assert isinstance(event, Event)
-        sim.run()
-        assert sim.now == 0.5
-        assert log == [("legacy", (1,))]
+    """The positional shapes ``schedule(delay, cb)`` / ``at(time, cb)``
+    are gone: they fail at the call and schedule nothing."""
 
-    def test_legacy_at_warns_and_works(self, sim):
+    def test_positional_schedule_raises_and_schedules_nothing(self, sim):
         log = []
-        with pytest.warns(DeprecationWarning, match="when="):
-            event = sim.at(2.0, recorder(log, "legacy"))
-        assert isinstance(event, Event)
+        with pytest.raises(TypeError, match="delay="):
+            sim.schedule(0.5, recorder(log, "legacy"))
+        assert sim.pending_events == 0
         sim.run()
-        assert sim.now == 2.0
-        assert log == [("legacy", ())]
+        assert (sim.now, log) == (0.0, [])
 
-    def test_legacy_schedule_negative_delay_still_raises(self, sim):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ClockError):
-                sim.schedule(-1.0, lambda: None)
+    def test_positional_at_raises_and_schedules_nothing(self, sim):
+        log = []
+        with pytest.raises(TypeError, match="when="):
+            sim.at(2.0, recorder(log, "legacy"))
+        assert sim.pending_events == 0
+        sim.run()
+        assert (sim.now, log) == (0.0, [])
 
     def test_legacy_shape_without_callback_raises(self, sim):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError):
-                sim.schedule(1.0)
+        with pytest.raises(TypeError):
+            sim.schedule(1.0)
 
     def test_canonical_shape_emits_no_warning(self, sim):
         with warnings.catch_warnings():
@@ -136,23 +128,6 @@ class TestLegacyShapes:
             sim.at(lambda: None, when=2.0)
             sim.call_soon(lambda: None)
             sim.schedule_many([(0.1, lambda: None)])
-
-    def test_legacy_and_canonical_interleave_identically(self):
-        def run(legacy):
-            sim = Simulator()
-            log = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                if legacy:
-                    sim.schedule(1.0, recorder(log, "a"))
-                    sim.at(1.0, recorder(log, "b"))
-                else:
-                    sim.schedule(recorder(log, "a"), delay=1.0)
-                    sim.at(recorder(log, "b"), when=1.0)
-            sim.run()
-            return [tag for tag, _ in log]
-
-        assert run(legacy=True) == run(legacy=False)
 
 
 class TestHorizonExclusiveRun:

@@ -76,18 +76,6 @@ def test_periodic_timer_set_period_shrink_clamps_to_now():
     assert ticks == [10.0, 12.0, 13.0, 14.0]
 
 
-def test_periodic_timer_set_period_legacy_mode():
-    sim = Simulator()
-    ticks = []
-    timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
-    sim.run(until=2.0)
-    # Legacy behaviour: the in-flight tick at t=3.0 still fires on the
-    # old period; the new period only applies afterwards.
-    timer.set_period(3.0, reschedule_pending=False)
-    sim.run(until=10.0)
-    assert ticks == [1.0, 2.0, 3.0, 6.0, 9.0]
-
-
 def test_periodic_timer_set_period_inside_callback():
     sim = Simulator()
     ticks = []

@@ -1,4 +1,4 @@
-"""telemetry.configure() and per-category sample-rate overrides."""
+"""telemetry.install()'s keywords and per-category sample-rate overrides."""
 
 import json
 
@@ -22,8 +22,8 @@ def sim():
 
 class TestConfigure:
     def test_wires_tracer_sampler_and_ring(self, sim):
-        tracer = telemetry.configure(sim, sample_rate=0.25, ring_slots=64,
-                                     seed=9)
+        tracer = telemetry.install(sim, sample_rate=0.25, ring_slots=64,
+                                   seed=9)
         assert sim.tracer is tracer
         assert tracer.enabled
         assert tracer.ring.capacity == 64
@@ -32,31 +32,31 @@ class TestConfigure:
         assert tracer.kernel is not None  # aggregate detail by default
 
     def test_disabled_start(self, sim):
-        tracer = telemetry.configure(sim, enabled=False)
+        tracer = telemetry.install(sim, enabled=False)
         assert not tracer.enabled
         assert sim.hooks is None
 
     def test_no_kernel_hooks(self, sim):
-        tracer = telemetry.configure(sim, kernel_detail=None)
+        tracer = telemetry.install(sim, kernel_detail=None)
         assert tracer.kernel is None
         assert sim.hooks is None
 
     def test_category_overrides_reach_the_policy(self, sim):
-        tracer = telemetry.configure(
+        tracer = telemetry.install(
             sim, sample_rate=0.5, categories={"net.msg": 0.1})
         assert tracer.sampling.overrides == {"net.msg": 0.1}
         assert tracer.sampling.rate_for("net.msg") == 0.1
         assert tracer.sampling.rate_for("other") == 0.5
 
     def test_always_categories_ignore_overrides(self, sim):
-        tracer = telemetry.configure(
+        tracer = telemetry.install(
             sim, sample_rate=0.0, categories={"raml": 0.0})
         assert tracer.sample("raml") is True
         assert tracer.sampling.rate_for("raml") == 1.0
 
     def test_custom_always_set(self, sim):
-        tracer = telemetry.configure(sim, sample_rate=0.0,
-                                     always={"special"})
+        tracer = telemetry.install(sim, sample_rate=0.0,
+                                   always={"special"})
         assert tracer.sample("special") is True
         assert tracer.sample("raml") is False
 
@@ -75,7 +75,7 @@ class TestOverrideValidation:
 
 class TestOverrideBehaviour:
     def make(self, sim, **kwargs):
-        return telemetry.configure(sim, kernel_detail=None, **kwargs)
+        return telemetry.install(sim, kernel_detail=None, **kwargs)
 
     def test_zero_override_silences_a_category(self, sim):
         tracer = self.make(sim, sample_rate=1.0, categories={"chatty": 0.0})
@@ -145,15 +145,15 @@ class TestSampleAt:
 
 class TestExportMeta:
     def test_full_trace_without_overrides_has_no_meta(self, sim):
-        tracer = telemetry.configure(sim, kernel_detail=None)
+        tracer = telemetry.install(sim, kernel_detail=None)
         with tracer.span("cat", "op"):
             pass
         records = list(jsonl_records(tracer))
         assert all(record["type"] != "meta" for record in records)
 
     def test_overrides_appear_in_meta(self, sim):
-        tracer = telemetry.configure(sim, kernel_detail=None,
-                                     categories={"net.msg": 0.125})
+        tracer = telemetry.install(sim, kernel_detail=None,
+                                   categories={"net.msg": 0.125})
         with tracer.span("cat", "op"):
             pass
         meta = next(record for record in jsonl_records(tracer)
@@ -165,7 +165,7 @@ class TestExportMeta:
     def test_checksum_stable_for_same_seed(self):
         def checksum():
             sim = Simulator()
-            tracer = telemetry.configure(
+            tracer = telemetry.install(
                 sim, sample_rate=0.5, seed=4, kernel_detail=None,
                 categories={"a": 0.2, "b": 0.9})
             for index in range(300):

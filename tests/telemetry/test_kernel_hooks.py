@@ -134,6 +134,18 @@ class TestLifecycle:
         sim.run()
         assert tracer.kernel.events_seen == 1
 
+    @pytest.mark.parametrize("second", [{"enabled": False},
+                                        {"kernel_detail": None}],
+                             ids=["disabled", "no-kernel-hooks"])
+    def test_reinstall_detaches_previous_kernel_hooks(self, second):
+        sim = Simulator()
+        first = install(sim)
+        install(sim, **second)
+        assert sim.hooks is None
+        sim.schedule(ping, delay=1.0)
+        sim.run()
+        assert first.kernel.events_seen == 0
+
     def test_uninstall_removes_everything(self):
         sim = Simulator()
         install(sim)

@@ -13,7 +13,7 @@ from repro.telemetry.merge import (
 
 def build_tracer(offset=0.0):
     sim = Simulator()
-    tracer = telemetry.configure(sim, kernel_detail=None)
+    tracer = telemetry.install(sim, kernel_detail=None)
     sim.schedule(lambda: None, delay=offset + 1.0)
     with tracer.span("work", "op"):
         pass

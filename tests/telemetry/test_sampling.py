@@ -175,7 +175,7 @@ class TestKernelSampling:
 
     def _drive(self, rate, seed=0, events=2_000):
         sim = Simulator()
-        tracer = install(sim, sampling=SamplingPolicy(rate=rate, seed=seed))
+        tracer = install(sim, sample_rate=rate, seed=seed)
 
         def ping():
             pass
@@ -204,7 +204,7 @@ class TestKernelSampling:
     def test_sampling_never_changes_simulation_results(self):
         def drive(rate):
             sim = Simulator()
-            install(sim, sampling=SamplingPolicy(rate=rate, seed=3))
+            install(sim, sample_rate=rate, seed=3)
             order = []
             sim.schedule_many((1.0, order.append, (i,)) for i in range(100))
             sim.run()
@@ -214,8 +214,8 @@ class TestKernelSampling:
 
     def test_events_detail_only_instants_traced_events(self):
         sim = Simulator()
-        tracer = install(sim, kernel_detail="events",
-                         sampling=SamplingPolicy(rate=0.1, seed=5))
+        tracer = install(sim, kernel_detail="events", sample_rate=0.1,
+                         seed=5)
 
         def ping():
             pass
@@ -229,7 +229,7 @@ class TestKernelSampling:
 
     def test_cancelled_unsampled_event_is_silent(self):
         sim = Simulator()
-        tracer = install(sim, sampling=SamplingPolicy(rate=0.0, seed=1))
+        tracer = install(sim, sample_rate=0.0, seed=1)
         handle = sim.schedule(lambda: None, delay=1.0)
         handle.cancel()
         sim.run()
