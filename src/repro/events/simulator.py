@@ -188,7 +188,8 @@ class Simulator:
     def _schedule_at(self, time: float, callback: Callable[..., Any],
                      args: tuple, priority: int) -> Event:
         """Shared push path: validate the time, enqueue, run sampling."""
-        if time < self._now:
+        # Written so that NaN fails it too: a NaN key has no heap order.
+        if not time >= self._now:
             raise ClockError(
                 f"cannot schedule at t={time}, clock is already at t={self._now}"
             )
@@ -304,7 +305,7 @@ class Simulator:
             callback = item[1]
             args = tuple(item[2]) if len(item) > 2 else ()
             prio = item[3] if len(item) > 3 else priority
-            if when < now:
+            if not when >= now:  # NaN fails too
                 raise ClockError(
                     f"cannot schedule at t={when}, clock is already at t={now}"
                 )

@@ -9,9 +9,7 @@ and RAML introspection.
 
 from __future__ import annotations
 
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import BindingError, ComponentError, DeploymentError
 from repro.kernel.binding import Binding, bind
@@ -20,6 +18,9 @@ from repro.kernel.container import Container
 from repro.kernel.descriptor import DeploymentDescriptor
 from repro.kernel.registry import Registry
 from repro.netsim.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 class Assembly:
@@ -139,7 +140,12 @@ class Assembly:
 
     def architecture_graph(self) -> nx.DiGraph:
         """Directed graph: component/connector nodes, binding/attachment
-        edges — the structural view consistency checks run on."""
+        edges — the structural view consistency checks run on.
+
+        networkx is imported here, on first call, so the simulator
+        itself never loads it."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for component in self.registry:
             graph.add_node(component.name, kind="component",

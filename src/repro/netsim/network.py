@@ -13,13 +13,12 @@ import random
 import sys
 from typing import Callable, Iterable
 
-import networkx as nx
-
 from repro.errors import LinkDownError, NetworkError, NodeDownError
 from repro.events import Simulator
 from repro.netsim.link import Link
 from repro.netsim.message import Message
 from repro.netsim.node import Node
+from repro.netsim.routing import Adjacency, shortest_path
 
 
 class NetworkStats:
@@ -72,7 +71,7 @@ class Network:
         self.links: dict[tuple[str, str], Link] = {}
         self.stats = NetworkStats()
         self._graph_dirty = True
-        self._graph = nx.Graph()
+        self._adjacency: Adjacency = {}
         # Shortest-path cache, invalidated with the graph: message
         # delivery is a per-event caller, so repeated sends between the
         # same pair must not pay Dijkstra every time.  ``None`` caches a
@@ -160,14 +159,13 @@ class Network:
         self._graph_dirty = True
 
     def _rebuild_graph(self) -> None:
-        graph = nx.Graph()
-        for name, node in self.nodes.items():
-            if node.up:
-                graph.add_node(name)
+        adjacency: Adjacency = {
+            name: {} for name, node in self.nodes.items() if node.up}
         for link in self.links.values():
-            if link.up and link.a in graph and link.b in graph:
-                graph.add_edge(link.a, link.b, weight=link.latency)
-        self._graph = graph
+            if link.up and link.a in adjacency and link.b in adjacency:
+                adjacency[link.a][link.b] = link.latency
+                adjacency[link.b][link.a] = link.latency
+        self._adjacency = adjacency
         self._graph_dirty = False
         self._route_cache.clear()
         self._path_intern.clear()
@@ -186,12 +184,7 @@ class Network:
         cache = self._route_cache
         path = cache.get(key, False)
         if path is False:
-            try:
-                path = nx.shortest_path(
-                    self._graph, source, destination, weight="weight"
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                path = None
+            path = shortest_path(self._adjacency, source, destination)
             if path is not None:
                 path = self._path_intern.setdefault(tuple(path), path)
             cache[key] = path

@@ -27,12 +27,11 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import networkx as nx
-
 from repro.errors import NetworkError
 from repro.events import Simulator
 from repro.netsim.message import Message
 from repro.netsim.network import Network
+from repro.netsim.routing import first_hops
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,6 @@ class Partition:
         return self._distances.get((src_region, dst_region), math.inf)
 
     def _build_next_hops(self) -> None:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.regions))
         best: dict[tuple[int, int], Boundary] = {}
         for boundary in self.boundaries:
             key = (min(boundary.a_region, boundary.b_region),
@@ -204,19 +201,17 @@ class Partition:
             current = best.get(key)
             if current is None or boundary.latency < current.latency:
                 best[key] = boundary
+        adjacency: dict[int, dict[int, float]] = {
+            region: {} for region in range(self.regions)}
         for (a, b), boundary in best.items():
-            graph.add_edge(a, b, weight=boundary.latency, boundary=boundary)
+            adjacency[a][b] = boundary.latency
+            adjacency[b][a] = boundary.latency
         table: dict[tuple[int, int], Boundary] = {}
         distances: dict[tuple[int, int], float] = {}
-        paths = dict(nx.all_pairs_dijkstra_path(graph, weight="weight"))
-        lengths = dict(nx.all_pairs_dijkstra_path_length(
-            graph, weight="weight"))
-        for src, targets in paths.items():
-            for dst, path in targets.items():
-                if src == dst or len(path) < 2:
-                    continue
-                table[(src, dst)] = graph.edges[path[0], path[1]]["boundary"]
-                distances[(src, dst)] = lengths[src][dst]
+        for src in range(self.regions):
+            for dst, (distance, hop) in first_hops(adjacency, src).items():
+                table[(src, dst)] = best[(min(src, hop), max(src, hop))]
+                distances[(src, dst)] = distance
         self._next_hop = table
         self._distances = distances
 

@@ -204,9 +204,10 @@ class Tracer:
     # -- lifecycle ---------------------------------------------------------
 
     def enable(self) -> None:
-        """Resume recording (and re-attach kernel hooks, if any)."""
+        """Resume recording (and re-attach kernel hooks, if any, unless
+        a later ``install`` has replaced this tracer)."""
         self.enabled = True
-        if self.kernel is not None:
+        if self.kernel is not None and self.sim.tracer is self:
             self.sim.set_hooks(self.kernel)
 
     def disable(self) -> None:

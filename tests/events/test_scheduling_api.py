@@ -5,6 +5,7 @@ One canonical shape across the API — callable first, times by keyword
 :class:`Event` handle.  The old positional shapes raise at the call.
 """
 
+import math
 import warnings
 
 import pytest
@@ -74,6 +75,30 @@ class TestCanonicalShapes:
         sim.run()
         with pytest.raises(ClockError):
             sim.at(lambda: None, when=0.5)
+
+    def test_schedule_rejects_nan_delay(self, sim):
+        sim.schedule(lambda: None, delay=1.0)
+        with pytest.raises(ClockError):
+            sim.schedule(lambda: None, delay=math.nan)
+        assert sim.pending_events == 1
+
+    def test_at_rejects_nan_time(self, sim):
+        sim.schedule(lambda: None, delay=1.0)
+        with pytest.raises(ClockError):
+            sim.at(lambda: None, when=math.nan)
+        assert sim.pending_events == 1
+
+    def test_schedule_many_rejects_nan_time(self, sim):
+        sim.schedule(lambda: None, delay=1.0)
+        with pytest.raises(ClockError):
+            sim.schedule_many([(0.5, lambda: None), (math.nan, lambda: None)])
+        assert sim.pending_events == 1
+
+    def test_infinite_time_is_accepted(self, sim):
+        sim.schedule(lambda: None, delay=math.inf)
+        sim.at(lambda: None, when=math.inf)
+        sim.schedule_many([(math.inf, lambda: None)])
+        assert sim.pending_events == 3
 
     def test_call_soon_returns_event(self, sim):
         log = []

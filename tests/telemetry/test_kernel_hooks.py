@@ -146,6 +146,18 @@ class TestLifecycle:
         sim.run()
         assert first.kernel.events_seen == 0
 
+    def test_enable_keeps_hooks_of_the_newer_tracer(self):
+        sim = Simulator()
+        first = install(sim)
+        second = install(sim)
+        first.enable()
+        assert sim.tracer is second
+        assert sim.hooks is second.kernel
+        sim.schedule(ping, delay=1.0)
+        sim.run()
+        assert second.kernel.events_seen == 1
+        assert first.kernel.events_seen == 0
+
     def test_uninstall_removes_everything(self):
         sim = Simulator()
         install(sim)
