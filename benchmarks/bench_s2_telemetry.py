@@ -17,10 +17,17 @@ sampled, cheap when fully on":
   message; sampled mode: two hops per *sampled* flow — traces are kept
   or dropped whole) and records peak span-buffer memory.
 
+Every overhead is judged from interleaved off/on *pairs*: each mode runs
+beside its baseline (``off``, or lineage off), the two runs taking turns
+through the same slices of simulated time, and the reported overhead is
+the median of the per-pair ratios, with their interquartile range beside
+it.  A change of host speed lands on both sides of a pair alike, where a
+ratio of two separate best-of runs absorbs it whole.
+
 Determinism is asserted across modes (instrumentation must not perturb
-event interleaving) and across repeated enabled runs: full-rate and
-sampled storms are each run twice and must produce byte-identical
-Chrome trace checksums — sampling decisions come from a seeded stream.
+event interleaving) and across repeated enabled runs: every full-rate
+and every sampled storm must produce the byte-identical Chrome trace
+checksum — sampling decisions come from a seeded stream.
 
 Full runs land in ``BENCH_telemetry.json`` (the document
 ``benchmarks/dashboard.py`` folds PR-over-PR and
@@ -36,9 +43,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 _ROOT = Path(__file__).resolve().parent.parent
 for _path in (str(_ROOT), str(_ROOT / "src"), str(_ROOT / "benchmarks")):
@@ -59,6 +68,17 @@ SMOKE_OUT = _ROOT / "BENCH_telemetry.smoke.json"
 #: Seed for every sampled mode: decisions must replay run over run.
 SAMPLING_SEED = 0
 
+#: Off/on pairs per mode.  The modes tier-1 and check_bench_regression.py
+#: judge get enough pairs for a stable median (storm runs are shorter, so
+#: noisier, and cheaper); the others are reported only.
+JUDGED_PAIRS = 9
+STORM_PAIRS = 11
+REPORTED_PAIRS = 3
+JUDGED = ("disabled", "sampled_1pct")
+
+#: Slices of simulated time the two sides of a pair take turns through.
+SLICES = 40
+
 #: mode → (enabled?, kernel detail, sampling rate or None for full).
 MODES = {
     "off": None,
@@ -71,13 +91,55 @@ MODES = {
 }
 
 
+class Side(NamedTuple):
+    """One prepared, untimed run: ``sim`` is timed in slices over
+    ``[0, span]``, then on to ``until`` (``None``: until no event is
+    left); ``report(elapsed)`` checks the outcome and returns it."""
+
+    sim: Simulator
+    span: float
+    until: float | None
+    report: Callable[[float], dict]
+
+
+def run_pair(index: int, off: Side, on: Side) -> tuple[dict, dict]:
+    """Time an off and an on run side by side; return their reports.
+
+    Both advance through the same :data:`SLICES` slices of simulated
+    time, taking turns, so a change of host speed lands on both sides
+    alike instead of on whichever runs second.  The side that runs a
+    slice first alternates from slice to slice, starting with ``off``
+    on even ``index``.  gc.collect() first keeps earlier runs' garbage
+    off this pair's bill.
+    """
+    sides = (off, on)
+    elapsed = [0.0, 0.0]
+    gc.collect()
+    for step in range(1, SLICES + 1):
+        stop = off.span * step / SLICES if step < SLICES else off.until
+        for side in ((0, 1) if (index + step) % 2 else (1, 0)):
+            start = time.perf_counter()
+            sides[side].sim.run(until=stop)
+            elapsed[side] += time.perf_counter() - start
+    return off.report(elapsed[0]), on.report(elapsed[1])
+
+
+def paired_overhead(pairs: list[tuple[dict, dict]],
+                    rate: str) -> tuple[float, float]:
+    """Median and interquartile range, in percent, of how much slower
+    the on side ran than the off side within each pair."""
+    overheads = [(off[rate] / on[rate] - 1.0) * 100.0 for off, on in pairs]
+    q1, _, q3 = statistics.quantiles(overheads, n=4)
+    return statistics.median(overheads), q3 - q1
+
+
 # ---------------------------------------------------------------------------
 # Workload 1: kernel churn per telemetry mode.
 # ---------------------------------------------------------------------------
 
 
-def run_churn_once(sessions: int, mode: str) -> dict:
-    """One churn run under one telemetry mode."""
+def churn_side(sessions: int, mode: str) -> Side:
+    """The churn workload under one telemetry mode, ready to time."""
     sim = Simulator()
     tracer = None
     if MODES[mode] is not None:
@@ -86,56 +148,77 @@ def run_churn_once(sessions: int, mode: str) -> dict:
                                    kernel_detail=detail,
                                    sample_rate=1.0 if rate is None else rate,
                                    seed=SAMPLING_SEED)
-    driver = ChurnDriver(sim, sessions)
-    scheduled = driver.load()
-    PeriodicTimer(sim, 1.0, driver.poll, name="poller")
-    gc.collect()
-    start = time.perf_counter()
-    sim.run(until=driver.horizon + 10.0)
-    elapsed = time.perf_counter() - start
-    assert driver.completed == sessions and driver.timed_out == 0
-    result = {
-        "mode": mode,
-        "scheduled_events": scheduled,
-        "elapsed_s": elapsed,
-        "events_per_sec": scheduled / elapsed,
-        "checksum": driver.checksum,
-    }
-    if tracer is not None and tracer.kernel is not None:
-        result["observed_events"] = tracer.kernel.events_seen
-        result["sites"] = len(tracer.kernel.sites)
-        result["drops"] = tracer.drops
-        result["span_buffer_bytes"] = tracer.ring.nbytes
-    return result
+    workload = ChurnDriver(sim, sessions)
+    scheduled = workload.load()
+    PeriodicTimer(sim, 1.0, workload.poll, name="poller")
+
+    def report(elapsed: float) -> dict:
+        assert workload.completed == sessions and workload.timed_out == 0
+        result = {
+            "mode": mode,
+            "scheduled_events": scheduled,
+            "elapsed_s": elapsed,
+            "events_per_sec": scheduled / elapsed,
+            "checksum": workload.checksum,
+        }
+        if tracer is not None and tracer.kernel is not None:
+            result["observed_events"] = tracer.kernel.events_seen
+            result["sites"] = len(tracer.kernel.sites)
+            result["drops"] = tracer.drops
+            result["span_buffer_bytes"] = tracer.ring.nbytes
+        return result
+
+    until = workload.horizon + 10.0
+    return Side(sim, until, until, report)
 
 
-def run_churn(sessions: int, repeats: int = 3) -> dict[str, dict]:
-    """Best-of-``repeats`` per mode, with the repeats *interleaved*
-    round-robin across modes: host-speed drift over the suite (frequency
-    scaling, noisy neighbours) then biases every mode equally instead of
-    whichever mode happened to run last.  gc.collect() before each timed
-    run keeps earlier modes' garbage off later modes' bill.
+def run_churn(sessions: int) -> dict[str, dict]:
+    """Every mode against ``off`` in :func:`run_pair` pairs, pair
+    indices interleaved round-robin across modes so a burst of host
+    load hits a few pairs of each mode, not all pairs of one.
+
+    Returns per mode its first run, with ``events_per_sec`` replaced by
+    the median over all its runs and, for every mode but ``off``, the
+    paired ``overhead_pct`` and ``overhead_iqr_pct``.
     """
-    best: dict[str, dict] = {}
-    for _ in range(repeats):
-        for mode in MODES:
-            result = run_churn_once(sessions, mode)
-            if (mode not in best
-                    or result["events_per_sec"]
-                    > best[mode]["events_per_sec"]):
-                best[mode] = result
-    return best
+    pairs: dict[str, list[tuple[dict, dict]]] = {
+        mode: [] for mode in MODES if mode != "off"}
+    for index in range(JUDGED_PAIRS):
+        for mode, done in pairs.items():
+            if index < (JUDGED_PAIRS if mode in JUDGED else REPORTED_PAIRS):
+                done.append(run_pair(index, churn_side(sessions, "off"),
+                                     churn_side(sessions, mode)))
+    runs = {"off": [off for done in pairs.values() for off, _ in done]}
+    runs.update((mode, [on for _, on in done])
+                for mode, done in pairs.items())
+    summary = {}
+    for mode, results in runs.items():
+        summary[mode] = dict(results[0], events_per_sec=statistics.median(
+            result["events_per_sec"] for result in results))
+        # Telemetry must observe, never perturb: identical interleavings.
+        for result in results:
+            assert result["checksum"] == runs["off"][0]["checksum"], (
+                f"telemetry mode {mode!r} changed the event interleaving")
+    for mode, done in pairs.items():
+        summary[mode]["overhead_pct"], summary[mode]["overhead_iqr_pct"] = \
+            paired_overhead(done, "events_per_sec")
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # Workload 2: 2-hop message storm — lineage off, fully on, sampled.
 # ---------------------------------------------------------------------------
 
+#: Simulated seconds between two storm sends.
+STORM_GAP = 0.0001
 
-def run_storm_mode(messages: int, traced: bool,
-                   rate: float | None = None) -> dict:
+
+def storm_side(messages: int, traced: bool,
+               rate: float | None = None) -> Side:
+    """The storm with lineage off, fully on or sampled, ready to time.
+    Every message is built here, so its id comes from this side's own
+    allocator even while the other side of a pair runs in between."""
     use_allocator(MessageIdAllocator(1))  # ids appear in traces; must match
-    gc.collect()
     sim = Simulator()
     tracer = None
     if traced:
@@ -156,21 +239,20 @@ def run_storm_mode(messages: int, traced: bool,
     # leaf→leaf traffic: every message crosses two links through the hub.
     items = []
     for i in range(messages):
-        t = 0.0001 * i
         source, dest = f"leaf{i % 4}", f"leaf{(i + 1) % 4}"
-        items.append((t, net.send,
+        items.append((STORM_GAP * i, net.send,
                       (Message(source, dest, "svc", size=256),)))
     sim.schedule_many(items, absolute=True)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    assert len(delivered) == messages
-    result = {
-        "messages": messages,
-        "elapsed_s": elapsed,
-        "messages_per_sec": messages / elapsed,
-    }
-    if tracer is not None:
+
+    def report(elapsed: float) -> dict:
+        assert len(delivered) == messages
+        result = {
+            "messages": messages,
+            "elapsed_s": elapsed,
+            "messages_per_sec": messages / elapsed,
+        }
+        if tracer is None:
+            return result
         flows = hops = 0
         for span in tracer.ring:
             if span.category == "net.msg":
@@ -192,7 +274,9 @@ def run_storm_mode(messages: int, traced: bool,
         result["span_buffer_bytes"] = tracer.ring.nbytes
         result["categories"] = telemetry.category_stats(tracer)
         result["checksum"] = telemetry.trace_checksum(tracer)
-    return result
+        return result
+
+    return Side(sim, STORM_GAP * messages, None, report)
 
 
 # ---------------------------------------------------------------------------
@@ -205,78 +289,71 @@ def run_suite(smoke: bool) -> dict:
     messages = 4_000 if smoke else 40_000
     sampled_rate = 0.01
 
-    # Full runs take more rounds: the <5% disabled gate needs the best-of
-    # to actually reach the drift-free floor.
-    churn = run_churn(sessions, repeats=3 if smoke else 5)
-    # Telemetry must observe, never perturb: identical interleavings.
+    churn = run_churn(sessions)
     baseline_checksum = churn["off"]["checksum"]
-    for mode, result in churn.items():
-        assert result["checksum"] == baseline_checksum, (
-            f"telemetry mode {mode!r} changed the event interleaving"
+
+    # Storms: lineage fully on and sampled, each against lineage off in
+    # run_pair pairs, pair indices interleaved as in the churn.  The
+    # repeats double as the determinism witness: every full and every
+    # sampled trace must checksum identically.
+    full: list[tuple[dict, dict]] = []
+    sampled: list[tuple[dict, dict]] = []
+    for index in range(STORM_PAIRS):
+        if index < REPORTED_PAIRS:
+            full.append(run_pair(index, storm_side(messages, traced=False),
+                                 storm_side(messages, traced=True)))
+        sampled.append(run_pair(
+            index, storm_side(messages, traced=False),
+            storm_side(messages, traced=True, rate=sampled_rate)))
+    storm_on, storm_sampled = full[0][1], sampled[0][1]
+    for _, on in full:
+        assert on["checksum"] == storm_on["checksum"], (
+            "lineage trace is not deterministic across identical runs"
+        )
+    for _, on in sampled:
+        assert on["checksum"] == storm_sampled["checksum"], (
+            "sampled lineage trace is not deterministic across "
+            "same-seed runs"
         )
 
-    # Storms: best-of-2 per lineage mode, rounds interleaved (same drift
-    # argument as the churn); the repeat doubles as the determinism
-    # witness — both full and sampled traces must checksum identically
-    # across the rounds.
-    storm_off = storm_on = storm_sampled = None
-    for _ in range(2):
-        round_off = run_storm_mode(messages, traced=False)
-        if (storm_off is None or round_off["messages_per_sec"]
-                > storm_off["messages_per_sec"]):
-            storm_off = round_off
-        round_on = run_storm_mode(messages, traced=True)
-        if storm_on is not None:
-            assert round_on["checksum"] == storm_on["checksum"], (
-                "lineage trace is not deterministic across identical runs"
-            )
-        if (storm_on is None or round_on["messages_per_sec"]
-                > storm_on["messages_per_sec"]):
-            storm_on = round_on
-        round_sampled = run_storm_mode(messages, traced=True,
-                                       rate=sampled_rate)
-        if storm_sampled is not None:
-            assert round_sampled["checksum"] == storm_sampled["checksum"], (
-                "sampled lineage trace is not deterministic across "
-                "same-seed runs"
-            )
-        if (storm_sampled is None or round_sampled["messages_per_sec"]
-                > storm_sampled["messages_per_sec"]):
-            storm_sampled = round_sampled
+    def median_rate(runs):
+        return statistics.median(run["messages_per_sec"] for run in runs)
 
-    off_eps = churn["off"]["events_per_sec"]
-    overhead = {
-        mode: (off_eps / churn[mode]["events_per_sec"] - 1.0) * 100.0
-        for mode in MODES if mode != "off"
-    }
-    storm_overhead = (storm_off["messages_per_sec"]
-                      / storm_on["messages_per_sec"] - 1.0) * 100.0
-    storm_overhead_sampled = (storm_off["messages_per_sec"]
-                              / storm_sampled["messages_per_sec"]
-                              - 1.0) * 100.0
+    storm_off_rate = median_rate([off for off, _ in full + sampled])
+    storm_on_rate = median_rate([on for _, on in full])
+    storm_sampled_rate = median_rate([on for _, on in sampled])
+    storm_overhead, storm_overhead_iqr = paired_overhead(
+        full, "messages_per_sec")
+    storm_overhead_sampled, storm_overhead_sampled_iqr = paired_overhead(
+        sampled, "messages_per_sec")
+    overhead = {mode: result["overhead_pct"]
+                for mode, result in churn.items() if mode != "off"}
 
     print_table(
-        "S2-T kernel churn under telemetry modes",
-        ["mode", "events", "events/sec", "overhead", "observed"],
+        "S2-T kernel churn under telemetry modes (median of off/on pairs)",
+        ["mode", "events", "events/sec", "overhead", "IQR", "observed"],
         [[mode,
           result["scheduled_events"],
           f"{result['events_per_sec']:,.0f}",
           "baseline" if mode == "off" else fmt(overhead[mode], 1) + "%",
+          "-" if mode == "off" else fmt(result["overhead_iqr_pct"], 1),
           result.get("observed_events", "-")]
          for mode, result in churn.items()],
     )
     print_table(
-        "S2-T netsim 2-hop message storm (lineage)",
-        ["lineage", "messages", "messages/sec", "overhead", "flows kept"],
+        "S2-T netsim 2-hop message storm (lineage, median of off/on pairs)",
+        ["lineage", "messages", "messages/sec", "overhead", "IQR",
+         "flows kept"],
         [
-            ["off", storm_off["messages"],
-             f"{storm_off['messages_per_sec']:,.0f}", "baseline", "-"],
-            ["full", storm_on["messages"],
-             f"{storm_on['messages_per_sec']:,.0f}",
-             fmt(storm_overhead, 1) + "%", storm_on["flow_spans"]],
-            [f"sampled {sampled_rate:.0%}", storm_sampled["messages"],
-             f"{storm_sampled['messages_per_sec']:,.0f}",
+            ["off", messages, f"{storm_off_rate:,.0f}", "baseline", "-",
+             "-"],
+            ["full", messages, f"{storm_on_rate:,.0f}",
+             fmt(storm_overhead, 1) + "%", fmt(storm_overhead_iqr, 1),
+             storm_on["flow_spans"]],
+            [f"sampled {sampled_rate:.0%}", messages,
+             f"{storm_sampled_rate:,.0f}",
              fmt(storm_overhead_sampled, 1) + "%",
+             fmt(storm_overhead_sampled_iqr, 1),
              storm_sampled["flow_spans"]],
         ],
     )
@@ -287,11 +364,16 @@ def run_suite(smoke: bool) -> dict:
         "unix_time": time.time(),
         "python": sys.version.split()[0],
         "sampling": {"rate": sampled_rate, "seed": SAMPLING_SEED},
+        "pairs": {"judged": JUDGED_PAIRS, "storm": STORM_PAIRS,
+                  "reported": REPORTED_PAIRS},
         "kernel": {
             "scheduled_events": churn["off"]["scheduled_events"],
             "events_per_sec": {mode: result["events_per_sec"]
                                for mode, result in churn.items()},
             "overhead_pct": overhead,
+            "overhead_iqr_pct": {mode: result["overhead_iqr_pct"]
+                                 for mode, result in churn.items()
+                                 if mode != "off"},
             "observed_events": {
                 mode: result["observed_events"]
                 for mode, result in churn.items()
@@ -300,11 +382,13 @@ def run_suite(smoke: bool) -> dict:
         },
         "netsim": {
             "messages": messages,
-            "messages_per_sec_off": storm_off["messages_per_sec"],
-            "messages_per_sec_on": storm_on["messages_per_sec"],
-            "messages_per_sec_sampled": storm_sampled["messages_per_sec"],
+            "messages_per_sec_off": storm_off_rate,
+            "messages_per_sec_on": storm_on_rate,
+            "messages_per_sec_sampled": storm_sampled_rate,
             "overhead_pct": storm_overhead,
             "overhead_pct_sampled": storm_overhead_sampled,
+            "overhead_iqr_pct": storm_overhead_iqr,
+            "overhead_iqr_pct_sampled": storm_overhead_sampled_iqr,
             "flow_spans": storm_on["flow_spans"],
             "hop_spans": storm_on["hop_spans"],
             "sampled_flow_spans": storm_sampled["flow_spans"],

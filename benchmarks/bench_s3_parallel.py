@@ -248,9 +248,9 @@ def digest_checksum(result) -> str:
     The lean shard folds every delivery into a mod-2^64 digest keyed by
     (delivery time, origin region, message id, leaf); hashing the sorted
     per-region digests plus the traffic counters gives one hex string
-    that must be byte-identical across backends and adaptive horizon
-    widening — delivery *times* are a pure function of the workload
-    even where trace record order is not.
+    that must be byte-identical across backends — delivery *times* are
+    a pure function of the workload even where trace record order is
+    not.
     """
     rows = [
         (region,

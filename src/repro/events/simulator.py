@@ -42,7 +42,6 @@ Scheduling surface (canonical shapes, all returning :class:`Event`)::
 from __future__ import annotations
 
 import heapq
-import math
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -337,26 +336,6 @@ class Simulator:
                     event.traced = True
                     hooks.event_scheduled(event)
         return events
-
-    def next_event_time(self) -> float:
-        """Simulated time of the earliest pending event, ``math.inf`` if
-        the queue is empty.
-
-        Pure with respect to live events, but pops cancelled garbage off
-        the heap top while peeking (the entries would be discarded by the
-        next :meth:`run` anyway).  This is the kernel-level *promise*
-        primitive: nothing can happen in this simulator — in particular
-        no boundary egress — before this time.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[3].cancelled:
-                heapq.heappop(queue)
-                self._garbage -= 1
-                continue
-            return entry[0]
-        return math.inf
 
     # -- cancellation bookkeeping ----------------------------------------
 

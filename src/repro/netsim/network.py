@@ -174,11 +174,12 @@ class Network:
         """Shortest-latency node path, inclusive of both ends.
 
         Paths are cached until the topology or link states change.
-        Raises :class:`NetworkError` when no route exists.
+        Raises :class:`NetworkError` when no route exists, including
+        from an unknown or down node to itself.
         """
         if self._graph_dirty:
             self._rebuild_graph()
-        if source == destination:
+        if source == destination and source in self._adjacency:
             return [source]
         key = (source, destination)
         cache = self._route_cache

@@ -22,7 +22,6 @@ time and continues delivery over the local topology.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -96,7 +95,6 @@ class Partition:
         self._node_region: dict[str, int] = {}
         self.boundaries: list[Boundary] = []
         self._next_hop: dict[tuple[int, int], Boundary] | None = None
-        self._distances: dict[tuple[int, int], float] | None = None
 
     # -- building ----------------------------------------------------------
 
@@ -129,7 +127,6 @@ class Partition:
                             latency, bandwidth, loss)
         self.boundaries.append(boundary)
         self._next_hop = None
-        self._distances = None
         return boundary
 
     # -- queries -----------------------------------------------------------
@@ -177,22 +174,6 @@ class Partition:
                 f"no boundary route from region {src_region} "
                 f"to region {dst_region}") from None
 
-    def region_distance(self, src_region: int, dst_region: int) -> float:
-        """Minimum total boundary latency between two regions.
-
-        ``math.inf`` when unreachable, ``0.0`` on the diagonal.  This is
-        the triangle-inequality bound the coordinator's adaptive
-        lookahead relies on: a message egressing region ``s`` at time
-        ``t`` cannot be injected into region ``r`` before
-        ``t + region_distance(s, r)`` — up to float rounding, since the
-        message adds the latencies hop by hop and this sums them first.
-        """
-        if src_region == dst_region:
-            return 0.0
-        if self._distances is None:
-            self._build_next_hops()
-        return self._distances.get((src_region, dst_region), math.inf)
-
     def _build_next_hops(self) -> None:
         best: dict[tuple[int, int], Boundary] = {}
         for boundary in self.boundaries:
@@ -207,13 +188,10 @@ class Partition:
             adjacency[a][b] = boundary.latency
             adjacency[b][a] = boundary.latency
         table: dict[tuple[int, int], Boundary] = {}
-        distances: dict[tuple[int, int], float] = {}
         for src in range(self.regions):
-            for dst, (distance, hop) in first_hops(adjacency, src).items():
+            for dst, hop in first_hops(adjacency, src).items():
                 table[(src, dst)] = best[(min(src, hop), max(src, hop))]
-                distances[(src, dst)] = distance
         self._next_hop = table
-        self._distances = distances
 
     def validate(self) -> None:
         """Check every region is populated (a resolver's population is
@@ -260,19 +238,6 @@ class RegionNetwork(Network):
         self.forwarded_out = 0
         self.ingressed = 0
         self._outbox_seq = 0
-
-    def egress_floor(self) -> float:
-        """Earliest simulated time this region could still produce a
-        boundary egress, given only its current internal state
-        (``math.inf`` when it provably cannot).
-
-        That is the next pending event's time — sound for arbitrary
-        handlers, since any egress happens inside an event.  Future
-        injections from other regions are deliberately excluded: the
-        coordinator bounds those with its own held-tuple and
-        region-distance terms.
-        """
-        return self.sim.next_event_time()
 
     # -- topology guard ----------------------------------------------------
 

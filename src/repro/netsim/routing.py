@@ -86,10 +86,9 @@ def shortest_path(adj: Adjacency, source: Hashable,
     return None
 
 
-def first_hops(adj: Adjacency,
-               source: Hashable) -> dict[Hashable, tuple[float, Hashable]]:
-    """``{node: (distance, first hop)}`` for every node reachable from
-    ``source`` other than itself, in order of distance.
+def first_hops(adj: Adjacency, source: Hashable) -> dict[Hashable, Hashable]:
+    """``{node: first hop}`` for every node reachable from ``source``
+    other than itself, in order of distance.
 
     Single-source Dijkstra.  Tie rules: equal heap keys in push order,
     neighbours in insertion order, and a strictly shorter relaxation
@@ -115,5 +114,4 @@ def first_hops(adj: Adjacency,
                 heappush(fringe, (total, next(counter), neighbour))
                 first[neighbour] = (neighbour if node == source
                                     else first[node])
-    return {node: (length, first[node]) for node, length in dist.items()
-            if node != source}
+    return {node: first[node] for node in dist if node != source}

@@ -14,11 +14,10 @@ engine: each region starts its next round as soon as its boundary
 global barrier.  Per-region telemetry merges deterministically by
 (sim-time, region-id, seq), and a killed worker is revived by replaying
 its command history — all paths produce byte-identical merged trace
-checksums for the same seed.  Adaptive lookahead (``adaptive=True``)
-widens horizons past the fixed cadence using each region's egress-floor
-promise; the memory-lean scenario (:func:`build_lean_star_region`)
-scales the same ring-of-stars workload to millions of leaves with
-columnar per-leaf state and an order-invariant delivery digest.
+checksums for the same seed.  The memory-lean scenario
+(:func:`build_lean_star_region`) scales the same ring-of-stars workload
+to millions of leaves with columnar per-leaf state and an
+order-invariant delivery digest.
 
 Quick start::
 

@@ -12,34 +12,17 @@ horizon fires next round, after same-instant remote tuples have been
 injected, which is what makes the interleaving — and the merged trace —
 deterministic.
 
-There is one exchange engine, **neighbour-gated** rounds.  Boundary
-tuples only ever reach a region from its boundary neighbours, so every
-region runs its own sequence of rounds and the coordinator acts on
-whichever region replies first; there is no global barrier.  The
-*cadence* decides when region ``r`` may start its next round, to which
-horizon, and which held boundary tuples go in:
-
-* **fixed** (default) — round ``k`` ends at ``min((k+1)·H, until)``,
-  computed from the index so float drift cannot add a round; it starts
-  once every neighbour of ``r`` has finished round ``k-1`` and injects
-  exactly those neighbours' round-``k-1`` egress, merged in ``(arrival,
-  origin region, origin seq)`` order.  Each region's command sequence
-  is thus a pure function of the workload, and the merged trace
-  checksum is byte-identical across backends, repeats and revivals.
-* **adaptive** (``adaptive=True``) — every reply carries the region's
-  ``egress_floor`` promise (see
-  :meth:`~repro.netsim.partition.RegionNetwork.egress_floor`).  Region
-  ``r`` may run up to ``min over s of earliest_egress(s) + reach(s,
-  r)``: ``earliest_egress(s)`` is the first time ``s`` could still
-  egress — its last promise, an injected arrival it has not executed
-  yet, or a tuple held for it, whether ``s`` is busy or idle — and
-  ``reach`` is the region distance, or ``r``'s shortest boundary cycle
-  when ``s == r``.  The bound is kept a few ulps low, because a
-  precomputed multi-hop distance can round above the hop-by-hop arrival
-  it bounds.  With sparse cross traffic horizons jump far past ``L``,
-  and with none a run collapses to a couple of rounds.
-  The round structure then depends on reply order, so the witness is
-  the simulation outcome (deliveries, clocks, digests), not the trace.
+There is one exchange engine, **neighbour-gated** rounds at the fixed
+lookahead.  Boundary tuples only ever reach a region from its boundary
+neighbours, so every region runs its own sequence of rounds and the
+coordinator acts on whichever region replies first; there is no global
+barrier.  Region ``r``'s round ``k`` ends at ``min((k+1)·H, until)``,
+computed from the index so float drift cannot add a round; it starts
+once every neighbour of ``r`` has finished round ``k-1`` and injects
+exactly those neighbours' round-``k-1`` egress, merged in ``(arrival,
+origin region, origin seq)`` order.  Each region's command sequence is
+thus a pure function of the workload, and the merged trace checksum is
+byte-identical across backends, repeats and revivals.
 
 Synchronization stalls are counted structurally: each region round
 after the first waits on its ``|neighbours(r)|`` boundary neighbours.
@@ -77,7 +60,6 @@ hang the coordinator forever.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import random
 import time
@@ -319,8 +301,6 @@ class ParallelResult:
     #: Supervision event stream: revivals, degradations, escalations —
     #: surfaced for telemetry/dashboards, never swallowed.
     supervision: list[dict[str, Any]] = field(default_factory=list)
-    #: Whether adaptive lookahead widened horizons this run.
-    adaptive: bool = False
     #: Structural synchronization stalls: the boundary neighbours every
     #: region round after the first waited on, summed over rounds.
     sync_stalls: int = 0
@@ -389,8 +369,7 @@ class ParallelSimulation:
     # -- the run -----------------------------------------------------------
 
     def run(self, until: float, *, backend: str = "process",
-            mode: str = "overlapped", adaptive: bool = False,
-            horizon: float | None = None,
+            mode: str = "overlapped", horizon: float | None = None,
             after_round: Callable[["ParallelSimulation", int, float], None]
             | None = None) -> ParallelResult:
         """Simulate ``[0, until]`` in conservative neighbour-gated rounds.
@@ -400,14 +379,9 @@ class ParallelSimulation:
                 ``"inline"`` (sequential single-shard baseline).
             mode: the exchange; only ``"overlapped"`` (neighbour-gated
                 rounds, the one engine) is accepted.
-            adaptive: widen horizons past the fixed cadence using the
-                regions' egress-floor promises.  The simulation outcome
-                is unchanged; the trace is only comparable within
-                adaptive runs (the round structure differs).
-            horizon: fixed-cadence round window; defaults to the
-                partition's lookahead and must not exceed it (that would
-                break conservatism).  Adaptive runs choose their own
-                horizons and reject it.
+            horizon: round window; defaults to the partition's
+                lookahead and must not exceed it (that would break
+                conservatism).
             after_round: called as ``after_round(self, round_index,
                 time)`` after each completed region round — once per
                 region per round index, so a chaos hook keyed on the
@@ -420,9 +394,6 @@ class ParallelSimulation:
         if mode != "overlapped":
             raise ParallelError(
                 f"unknown mode {mode!r}; the only exchange is 'overlapped'")
-        if adaptive and horizon is not None:
-            raise ParallelError(
-                "adaptive runs choose their own horizons; omit horizon")
         self.partition.validate()
         lookahead = (self.partition.lookahead
                      if self.partition.boundaries else float("inf"))
@@ -443,7 +414,7 @@ class ParallelSimulation:
         try:
             wall0 = perf_counter()
             rounds, leftovers, stalls = self._run_rounds(
-                until, window, adaptive, after_round)
+                until, window, after_round)
             busy: dict[int, tuple] = {}
             for region in regions:
                 self._dispatch(busy, region, ("collect",))
@@ -474,13 +445,12 @@ class ParallelSimulation:
             revival_attempts=self.revival_attempts,
             degraded=tuple(self._degraded),
             supervision=list(self.supervision_events),
-            adaptive=adaptive,
             sync_stalls=stalls,
         )
 
-    def _run_rounds(self, until: float, window: float, adaptive: bool,
+    def _run_rounds(self, until: float, window: float,
                     after_round: Callable | None) -> tuple[int, int, int]:
-        """Dispatch every region round the cadence allows, act on the
+        """Dispatch every region round the neighbours allow, act on the
         replies, repeat; returns (max region rounds, leftovers, stalls).
         """
         partition = self.partition
@@ -489,70 +459,24 @@ class ParallelSimulation:
         for boundary in partition.boundaries:
             neighbors[boundary.a_region].add(boundary.b_region)
             neighbors[boundary.b_region].add(boundary.a_region)
-        if adaptive:
-            # reach[s, r]: least boundary latency between an egress in s
-            # and a new arrival in r — for s == r, the shortest round
-            # trip out of r and back in.
-            reach = {(s, r): partition.region_distance(s, r)
-                     for s in regions for r in regions if s != r}
-            for r in regions:
-                reach[r, r] = min(
-                    (b.latency + reach[b.peer(r)[0], r]
-                     for b in partition.boundaries
-                     if r in (b.a_region, b.b_region)),
-                    default=math.inf)
-            # A hop-by-hop arrival rounds once per hop, the summed
-            # distance once per term: they differ by at most a few ulps.
-            margin = 4 * partition.regions * math.ulp(max(until, 1.0))
         committed = {r: 0.0 for r in regions}   # clock after last round
         done = {r: 0 for r in regions}          # completed rounds
         busy: dict[int, tuple] = {}             # region -> in-flight cmd
-        # Last egress-floor promise (0.0 until the first reply: unknown
-        # state must not widen) and injected arrivals not yet executed,
-        # whose re-egress the promise cannot see.
-        floors = {r: 0.0 for r in regions}
-        pending_arrivals: dict[int, list[float]] = {r: [] for r in regions}
-        # Held boundary tuples: the fixed cadence buckets them by the
-        # round that must inject them; adaptive holds a flat pool per
-        # destination, drained up to each dispatch horizon.
-        held_aligned: dict[tuple[int, int], list[tuple]] = {}
-        held_adaptive: dict[int, list[tuple]] = {r: [] for r in regions}
+        # Held boundary tuples by (destination, round that injects them).
+        held: dict[tuple[int, int], list[tuple]] = {}
         stalls = 0
-
-        def earliest_egress(s: int) -> float:
-            # Busy or idle, s egresses no earlier than this: its promise
-            # covers its own state, the arrivals cover its injections,
-            # and later injections are bounded through other regions.
-            return min(floors[s], min(pending_arrivals[s], default=math.inf),
-                       min((rec[4] for rec in held_adaptive[s]),
-                           default=math.inf))
-
         while True:
             for r in regions:
                 if r in busy or committed[r] >= until:
                     continue
                 k = done[r]
-                if adaptive:
-                    # The earliest time a new tuple could arrive in r.
-                    bound = min(earliest_egress(s) + reach[s, r]
-                                for s in regions)
-                    horizon = min(until, bound - margin)
-                    if horizon <= committed[r]:
-                        continue
-                    pool = held_adaptive[r]
-                    batch = [rec for rec in pool if rec[4] < horizon]
-                    if batch:
-                        held_adaptive[r] = [
-                            rec for rec in pool if rec[4] >= horizon]
-                else:
-                    if any(done[s] < k for s in neighbors[r]):
-                        continue
-                    horizon = min((k + 1) * window, until)
-                    batch = held_aligned.pop((r, k), [])
+                if any(done[s] < k for s in neighbors[r]):
+                    continue
+                horizon = min((k + 1) * window, until)
+                batch = held.pop((r, k), [])
                 batch.sort(key=_INJECT_KEY)
                 if k > 0:
                     stalls += len(neighbors[r])
-                pending_arrivals[r].extend(rec[4] for rec in batch)
                 self._dispatch(busy, r,
                                ("round", k, horizon, horizon >= until, batch))
             if not busy:
@@ -563,23 +487,14 @@ class ParallelSimulation:
                 break
             for r, reply in self._collect_ready(busy):
                 self._history[r].append(busy.pop(r))
-                _, k, outbox, counters = reply
-                now = committed[r] = counters["now"]
+                _, k, outbox, now = reply
+                committed[r] = now
                 done[r] = k + 1
-                floors[r] = counters["egress_floor"]
-                pending_arrivals[r] = [
-                    arrival for arrival in pending_arrivals[r]
-                    if arrival >= now]
                 for record in outbox:
-                    if adaptive:
-                        held_adaptive[record[2]].append(record)
-                    else:
-                        held_aligned.setdefault(
-                            (record[2], k + 1), []).append(record)
+                    held.setdefault((record[2], k + 1), []).append(record)
                 if after_round is not None:
                     after_round(self, k, now)
-        leftovers = sum(map(len, (held_adaptive if adaptive
-                                  else held_aligned).values()))
+        leftovers = sum(map(len, held.values()))
         return max(done.values()), leftovers, stalls
 
     def _dispatch(self, busy: dict[int, tuple], region: int,

@@ -15,7 +15,7 @@ loop for the process backend):
 ========================================== ==================================
 coordinator → worker                        worker → coordinator
 ========================================== ==================================
-``("round", k, horizon, incl, injections)`` ``("done", k, outbox, counters)``
+``("round", k, horizon, incl, injections)`` ``("done", k, outbox, now)``
 ``("collect",)``                            ``("report", report_dict)``
 ``("stop",)``                               ``("bye", region)``
 ========================================== ==================================
@@ -76,8 +76,9 @@ class RegionRuntime:
         self.rounds = 0
 
     def run_round(self, index: int, horizon: float, inclusive: bool,
-                  injections: list[tuple]) -> tuple[list[tuple], dict]:
-        """Simulate one conservative window and drain the outbox.
+                  injections: list[tuple]) -> tuple[list[tuple], float]:
+        """Simulate one conservative window; return the drained outbox
+        and the region's clock.
 
         ``injections`` are boundary tuples from other regions, already in
         deterministic merge order; they are scheduled at their arrival
@@ -86,11 +87,6 @@ class RegionRuntime:
         window then runs to ``horizon`` — exclusive between rounds so an
         event exactly at the horizon fires in the *next* round, after any
         remote tuple arriving at the same instant has been injected.
-
-        The returned counters carry ``egress_floor`` — the earliest
-        simulated time this region could still egress a boundary tuple
-        given its pending state (``inf`` when it provably cannot) — the
-        per-region promise adaptive lookahead widens horizons with.
         """
         net, sim = self.net, self.sim
         previous = use_allocator(self.ids)
@@ -106,14 +102,7 @@ class RegionRuntime:
             use_allocator(previous)
         outbox, net.outbox = net.outbox, []
         self.rounds += 1
-        counters = {
-            "executed": sim.executed_events,
-            "now": sim.now,
-            "outbound": len(outbox),
-            "in_flight": net.in_flight,
-            "egress_floor": net.egress_floor(),
-        }
-        return outbox, counters
+        return outbox, sim.now
 
     def collect(self) -> dict[str, Any]:
         """Final per-region report: counters, stats and (when telemetry

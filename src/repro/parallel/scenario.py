@@ -17,11 +17,8 @@ method); parameterize with :func:`functools.partial`, e.g.::
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
-from bisect import bisect_left
-from typing import Iterable
 
 from repro.errors import NetworkError
 from repro.events import Simulator
@@ -202,8 +199,8 @@ class LeanStarRegion(RegionNetwork):
     (mod-2^64 sum) fold of ``(delivery time, origin region, message id,
     leaf)`` over all deliveries.  Because each message's delivery *time*
     is a pure function of the workload (never of round structure), the
-    digest is identical across backends and across adaptive horizon
-    widening, even where trace record *order* differs.
+    digest is identical across backends, even where trace record *order*
+    differs.
     """
 
     def __init__(self, sim: Simulator, partition: Partition, region: int,
@@ -216,47 +213,6 @@ class LeanStarRegion(RegionNetwork):
         self.message_size = message_size
         self.delivered_by_leaf = array("I", bytes(4 * leaves))
         self.digest = 0
-        # Declared cross-send schedule (sorted absolute times) for the
-        # sharper egress floor; None = no declaration.
-        self._cross_times: list[float] | None = None
-        self._cross_idx = 0
-
-    # -- egress-floor promise ----------------------------------------------
-
-    def declare_cross_sends(self, times: Iterable[float]) -> None:
-        """Declare the absolute times at which this region's workload
-        will originate cross-region sends (merged with any earlier,
-        still pending declaration).
-
-        Opt-in sharpening of :meth:`egress_floor`: the lean workload's
-        cross sends are a pure function of the message index, so the
-        builder can promise the coordinator that no boundary egress will
-        happen before the next declared send — even while millions of
-        purely local events are pending.  Declaring and then cross-sending
-        off-schedule would let remote regions run past a message's
-        arrival, so the contract is on the scenario builder.
-        """
-        pending = ([] if self._cross_times is None
-                   else self._cross_times[self._cross_idx:])
-        self._cross_times = sorted([*pending, *times])
-        self._cross_idx = 0
-
-    def egress_floor(self) -> float:
-        """The next declared cross send (``math.inf`` after the last);
-        without a declaration, the next pending event's time.
-
-        Pending local events never pin a declared floor, which is what
-        lets adaptive lookahead widen horizons far past the per-hop
-        event cadence.  A lean cross send or transit egresses inside the
-        event that makes it, so no message is ever in flight toward a
-        boundary between events and nothing else can egress.
-        """
-        times = self._cross_times
-        if times is None:
-            return super().egress_floor()
-        idx = bisect_left(times, self.sim.now, self._cross_idx)
-        self._cross_idx = idx
-        return times[idx] if idx < len(times) else math.inf
 
     # -- lean delivery ----------------------------------------------------
 
@@ -344,8 +300,8 @@ def build_lean_star_region(region: int, sim: Simulator,
                            leaves: int = 1000, messages: int = 10_000,
                            until: float = 10.0, streams: int = 64,
                            cross_every: int = 5,
-                           local_latency: float = 0.001, size: int = 256,
-                           declare_cross: bool = False) -> LeanStarRegion:
+                           local_latency: float = 0.001,
+                           size: int = 256) -> LeanStarRegion:
     """Build one lean star region driven by self-rescheduling streams.
 
     Message ``m`` (0-based) fires at ``(m + 1) * until / (messages + 1)``
@@ -353,12 +309,8 @@ def build_lean_star_region(region: int, sim: Simulator,
     prescheduling ``messages`` events the workload runs as ``streams``
     generators, each keeping exactly one pending event and rescheduling
     itself after every send.  Message ``m`` crosses a boundary iff
-    ``m % cross_every == 0`` (deterministic, not an rng draw), which is
-    what makes ``declare_cross=True`` sound: the exact cross-send times
-    are computable at build time and passed to
-    :meth:`LeanStarRegion.declare_cross_sends`, so adaptive lookahead can
-    widen horizons past millions of pending local events.  Leaf choices
-    still come from the ``(seed, region)``-derived rng; stream ticks
+    ``m % cross_every == 0`` (deterministic, not an rng draw).  Leaf
+    choices come from the ``(seed, region)``-derived rng; stream ticks
     fire at strictly increasing distinct times, so the draw order — and
     therefore the workload — is a pure function of the build arguments.
     """
@@ -384,11 +336,4 @@ def build_lean_star_region(region: int, sim: Simulator,
 
     for stream in range(min(n_streams, messages)):
         sim.schedule(tick, stream, at=(stream + 1) * step)
-    if declare_cross:
-        # An empty declaration is the strongest promise of all: this
-        # region will NEVER egress, so its egress floor is +inf and
-        # adaptive lookahead can run neighbors straight to ``until``.
-        times = ([(m + 1) * step for m in range(0, messages, every)]
-                 if every else [])
-        net.declare_cross_sends(times)
     return net

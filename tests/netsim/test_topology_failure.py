@@ -114,3 +114,26 @@ class TestFailureInjector:
         net.links.clear()
         injector = FailureInjector(net)
         assert injector.random_link_flaps(horizon=10.0, rate=1.0, down_for=1.0) == 0
+
+
+class TestSelfRoute:
+    """A node routes to itself only while it is up and known: every
+    other case raises the ``NetworkError`` any unroutable pair does."""
+
+    def test_live_node_routes_to_itself(self):
+        net = star(Simulator(), leaves=2)
+        assert net.route("leaf0", "leaf0") == ["leaf0"]
+
+    def test_unknown_node_has_no_route_to_itself(self):
+        net = star(Simulator(), leaves=2)
+        with pytest.raises(NetworkError):
+            net.route("ghost", "ghost")
+
+    def test_down_node_has_no_route_to_itself(self):
+        net = star(Simulator(), leaves=2)
+        net.node("leaf0").crash()
+        net.invalidate_routes()
+        with pytest.raises(NetworkError):
+            net.route("leaf0", "leaf1")
+        with pytest.raises(NetworkError):
+            net.route("leaf0", "leaf0")

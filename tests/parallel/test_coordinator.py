@@ -207,9 +207,9 @@ class TestProtocol:
         runtime = RegionRuntime(0, star_ring_partition(2, leaves=2),
                                 partial(build_star_region, leaves=2,
                                         messages=4, until=1.0), seed=3)
-        op, index, outbox, counters = runtime.handle(
+        op, index, outbox, now = runtime.handle(
             ("round", 0, 0.5, False, []))
-        assert (op, index, counters["now"]) == ("done", 0, 0.5)
+        assert (op, index, now) == ("done", 0, 0.5)
         assert runtime.handle(("collect",))[0] == "report"
         assert runtime.handle(("warp",))[:2] == ("error", 0)
         # A malformed command comes back as a traceback, not a raise.

@@ -2,9 +2,12 @@
 workload, formula-backed partition, order-invariant digest."""
 
 import tracemalloc
+from collections import defaultdict
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.events import Simulator
@@ -21,6 +24,8 @@ from repro.parallel.scenario import (
     leaf_index,
     leaf_name,
 )
+
+from tests.parallel.lockstep import lockstep
 
 UNTIL = 10.0
 
@@ -78,7 +83,6 @@ class TestLeanPartition:
         partition = lean_star_partition(4, boundary_latency=0.07)
         assert len(partition.boundaries) == 4
         assert partition.lookahead == pytest.approx(0.07)
-        assert partition.region_distance(0, 2) == pytest.approx(0.14)
 
 
 class TestLeanWorkload:
@@ -130,6 +134,64 @@ class TestLeanWorkload:
                 for r in sorted(serial.regions)] \
             == [base.regions[r]["stats"]["digest"]
                 for r in sorted(base.regions)]
+
+
+class TestLeanMatchesLockstep:
+    """Neighbour-gated lean runs equal the lock-step reference: the same
+    rounds and, per region, the same digest, stats, clock and event
+    count.  Rings of 3+ regions carry hub-to-hub transit, and every
+    region cross-sends on one shared tick schedule, so boundary tuples
+    from different origins arrive at the same instant."""
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @given(regions=st.integers(2, 8), leaves=st.integers(1, 60),
+           messages=st.integers(0, 600), cross_every=st.integers(0, 9),
+           latency=st.sampled_from([0.03, 0.05, 0.07, 0.11]),
+           seed=st.integers(0, 2**16))
+    # Dense same-instant arrivals: every other message crosses.
+    @example(regions=4, leaves=60, messages=600, cross_every=2,
+             latency=0.05, seed=11)
+    @example(regions=8, leaves=1, messages=9, cross_every=2,
+             latency=0.03, seed=0)
+    @settings(max_examples=16, deadline=None)
+    def test_matches_lockstep_reference(self, backend, regions, leaves,
+                                        messages, cross_every, latency,
+                                        seed):
+        build = partial(build_lean_star_region, leaves=leaves,
+                        messages=messages, until=UNTIL,
+                        cross_every=cross_every)
+
+        def partition():
+            return lean_star_partition(regions, boundary_latency=latency)
+
+        _, rounds, reports = lockstep(partition(), build, UNTIL, seed=seed)
+        result = ParallelSimulation(partition(), build, seed=seed).run(
+            UNTIL, backend=backend)
+        assert result.rounds == rounds
+        assert result.regions == reports
+
+    def test_dense_example_lands_arrivals_from_two_origins_at_once(self):
+        # The dense example checks the merge order (arrival, origin
+        # region, seq) only if one region ingresses tuples from two
+        # neighbours at one instant.
+        dense = partial(build_lean_star_region, leaves=60, messages=600,
+                        until=UNTIL, cross_every=2)
+        origins = defaultdict(set)
+
+        def build(region, sim, partition, seed):
+            net = dense(region, sim, partition, seed)
+            ingress = net.ingress
+
+            def observed(record):
+                origins[region, sim.now].add(record[1])
+                ingress(record)
+
+            net.ingress = observed
+            return net
+
+        lockstep(lean_star_partition(4, boundary_latency=0.05), build,
+                 UNTIL, seed=11)
+        assert any(len(senders) > 1 for senders in origins.values())
 
 
 class TestMemoryFootprint:

@@ -151,9 +151,3 @@ class TestArguments:
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ParallelError):
             make_sim().run(until=UNTIL, backend="inline", mode=mode)
-
-    def test_adaptive_rejects_a_fixed_horizon(self):
-        psim = make_sim()
-        with pytest.raises(ParallelError):
-            psim.run(until=UNTIL, backend="inline", adaptive=True,
-                     horizon=psim.partition.lookahead / 2)

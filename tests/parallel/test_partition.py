@@ -15,14 +15,21 @@ from repro.netsim import (
 from repro.telemetry import install
 
 
-def two_region_partition():
-    partition = Partition(2)
-    for region in (0, 1):
+def line_partition(regions):
+    """Regions in a line, hub to hub, with two leaves per hub."""
+    partition = Partition(regions)
+    for region in range(regions):
         partition.assign(f"hub{region}", region)
         for index in range(2):
             partition.assign(f"n{region}_{index}", region)
-    partition.add_boundary("hub0", "hub1", latency=0.01)
+    for region in range(1, regions):
+        partition.add_boundary(f"hub{region - 1}", f"hub{region}",
+                               latency=0.01)
     return partition
+
+
+def two_region_partition():
+    return line_partition(2)
 
 
 def build_region(partition, region, seed=0):
@@ -261,6 +268,39 @@ class TestRegionNetwork:
         sim.run(until=1.0)
         assert net.outbox == []
         assert net.stats.dropped_node_down == 1
+
+    def test_down_gateway_relays_no_transit(self):
+        # hub1 is region 1's entry from region 0 and its gateway to
+        # region 2: crashed, it passes nothing on.
+        partition = line_partition(3)
+        sim, net, _ = build_region(partition, 1)
+        net.node("hub1").crash()
+        net.invalidate_routes()
+        sim.schedule(net.ingress, ("msg", 0, 1, "hub1", 0.5, 0, "n0_0",
+                                   "n2_1", "svc", None, 256, {}, 0.0,
+                                   (0, 1)), delay=0.5)
+        sim.run(until=1.0)
+        assert net.outbox == []
+        assert net.forwarded_out == 0
+        assert net.stats.dropped_no_route == 1
+        assert net.in_flight == 0
+
+    @pytest.mark.parametrize("down", ["hub1", "n1_1"])
+    def test_tuple_for_a_down_node_drops_as_no_route(self, down):
+        # The entry node itself or a leaf behind it: a down destination
+        # drops as no_route, as it does for any send.
+        partition = two_region_partition()
+        sim, net, delivered = build_region(partition, 1)
+        net.node(down).crash()
+        net.invalidate_routes()
+        sim.schedule(net.ingress, ("msg", 0, 1, "hub1", 0.5, 0, "n0_0",
+                                   down, "svc", None, 256, {}, 0.0,
+                                   (0, 1)), delay=0.5)
+        sim.run(until=1.0)
+        assert delivered == []
+        assert net.stats.dropped_no_route == 1
+        assert net.stats.dropped_node_down == 0
+        assert net.in_flight == 0
 
     def test_cross_send_without_route_to_gateway_drops(self):
         partition = two_region_partition()

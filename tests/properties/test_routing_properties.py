@@ -9,7 +9,6 @@ Latencies come from a small set of exactly summable values so that
 equal-length paths are common.
 """
 
-import math
 from functools import partial
 
 import hypothesis.strategies as st
@@ -20,6 +19,7 @@ from hypothesis import example, given, settings
 from repro.errors import NetworkError
 from repro.events import Simulator
 from repro.netsim import Network, Partition, ring
+from repro.netsim.routing import first_hops
 from repro.parallel.scenario import star_ring_partition
 
 LATENCIES = (0.0, 0.5, 1.0, 2.0)
@@ -85,8 +85,6 @@ def assert_routes_match(net: Network) -> None:
     graph = oracle_graph(net)
     for source in net.nodes:
         for destination in net.nodes:
-            if source == destination:
-                continue
             try:
                 expected = nx.shortest_path(graph, source, destination,
                                             weight="weight")
@@ -125,7 +123,30 @@ def test_routes_match_networkx(build, flip):
 
 
 # ---------------------------------------------------------------------------
-# Partition.next_hop / region_distance vs nx.all_pairs_dijkstra_*
+# first_hops vs nx.single_source_dijkstra_path
+# ---------------------------------------------------------------------------
+
+@given(build=st.builds(partial, st.just(build_network), topology_specs()))
+@settings(max_examples=150, deadline=None)
+def test_first_hops_match_networkx(build):
+    graph = oracle_graph(build())
+    adjacency = {node: {neighbour: data["weight"]
+                        for neighbour, data in graph.adj[node].items()}
+                 for node in graph}
+    for source in graph:
+        paths = nx.single_source_dijkstra_path(graph, source,
+                                               weight="weight")
+        lengths = nx.single_source_dijkstra_path_length(graph, source,
+                                                        weight="weight")
+        hops = first_hops(adjacency, source)
+        assert hops == {node: path[1] for node, path in paths.items()
+                        if node != source}
+        # In order of distance, equal distances in settling order.
+        assert list(hops) == [node for node in lengths if node != source]
+
+
+# ---------------------------------------------------------------------------
+# Partition.next_hop vs nx.all_pairs_dijkstra_path
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -163,8 +184,8 @@ def build_partition(spec) -> Partition:
     return partition
 
 
-def oracle_tables(partition: Partition):
-    """Next hops and distances as ``Partition`` built them with networkx."""
+def oracle_table(partition: Partition):
+    """Next hops as ``Partition`` built them with networkx."""
     graph = nx.Graph()
     graph.add_nodes_from(range(partition.regions))
     best = {}
@@ -177,15 +198,13 @@ def oracle_tables(partition: Partition):
     for (a, b), boundary in best.items():
         graph.add_edge(a, b, weight=boundary.latency, boundary=boundary)
     paths = dict(nx.all_pairs_dijkstra_path(graph, weight="weight"))
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight="weight"))
-    table, distances = {}, {}
+    table = {}
     for src, targets in paths.items():
         for dst, path in targets.items():
             if src == dst or len(path) < 2:
                 continue
             table[(src, dst)] = graph.edges[path[0], path[1]]["boundary"]
-            distances[(src, dst)] = lengths[src][dst]
-    return table, distances
+    return table
 
 
 @given(build=st.builds(partial, st.just(build_partition), partition_specs()))
@@ -193,7 +212,7 @@ def oracle_tables(partition: Partition):
 @settings(max_examples=150, deadline=None)
 def test_region_routes_match_networkx(build):
     partition = build()
-    table, distances = oracle_tables(partition)
+    table = oracle_table(partition)
     unreachable = None
     for src in range(partition.regions):
         for dst in range(partition.regions):
@@ -203,8 +222,6 @@ def test_region_routes_match_networkx(build):
                     partition.next_hop(src, dst)
             else:
                 assert partition.next_hop(src, dst) is expected
-            assert partition.region_distance(src, dst) == (
-                0.0 if src == dst else distances.get((src, dst), math.inf))
             if src != dst and expected is None and unreachable is None:
                 unreachable = f"region {dst} unreachable from region {src}"
     if unreachable is None:
