@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-import networkx as nx
-
 from repro.errors import ChainOrderError, MetaObjectError
+from repro.graphs import descendants, find_cycle, topological_sort
 from repro.kernel.component import Invocation, run_chain
 from repro.metaobjects.metaobject import MetaObject
 
@@ -72,30 +71,26 @@ def order(metaobjects: Sequence[MetaObject],
     """
     validate(metaobjects)
     by_name = {m.name: m for m in metaobjects}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(by_name)
+    graph: dict[str, dict[str, None]] = {name: {} for name in by_name}
     for metaobject in metaobjects:
         for later in metaobject.must_precede:
-            graph.add_edge(metaobject.name, later)
+            graph[metaobject.name][later] = None
         for earlier in metaobject.must_follow:
-            graph.add_edge(earlier, metaobject.name)
+            graph[earlier][metaobject.name] = None
 
-    try:
-        cycles = list(nx.find_cycle(graph))
-    except nx.NetworkXNoCycle:
-        cycles = []
-    if cycles:
-        path = " -> ".join(edge[0] for edge in cycles) + f" -> {cycles[0][0]}"
+    cycle = find_cycle(graph)
+    if cycle:
+        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
         raise ChainOrderError(f"ordering constraints form a cycle: {path}")
 
     if strict_modificatory:
-        closure = nx.transitive_closure(graph)
         modificatory = [m for m in metaobjects if m.modificatory]
+        reach = {m.name: descendants(graph, m.name) for m in modificatory}
         for i, first in enumerate(modificatory):
             for second in modificatory[i + 1:]:
                 related = (
-                    closure.has_edge(first.name, second.name)
-                    or closure.has_edge(second.name, first.name)
+                    second.name in reach[first.name]
+                    or first.name in reach[second.name]
                     or first.priority != second.priority
                 )
                 if not related:
@@ -111,8 +106,7 @@ def order(metaobjects: Sequence[MetaObject],
         metaobject = by_name[name]
         return (-metaobject.priority, declaration_index[name])
 
-    ordered_names = list(nx.lexicographical_topological_sort(graph, key=sort_key))
-    return [by_name[name] for name in ordered_names]
+    return [by_name[name] for name in topological_sort(graph, sort_key)]
 
 
 class MetaChain:
@@ -140,20 +134,25 @@ class MetaChain:
         try:
             self._recompose()
         except (MetaObjectError, ChainOrderError):
-            self._declared.remove(metaobject)
+            self._declared.pop()
             raise
 
     def remove(self, name: str) -> MetaObject:
-        """Remove a wrapper by name (mandatory wrappers refuse)."""
-        for metaobject in self._declared:
+        """Remove a wrapper by name (mandatory wrappers refuse); the
+        chain re-validates and re-orders, or stays as it was."""
+        for index, metaobject in enumerate(self._declared):
             if metaobject.name == name:
                 if metaobject.mandatory:
                     raise MetaObjectError(
                         f"meta-object {name!r} is mandatory and cannot be "
                         "removed"
                     )
-                self._declared.remove(metaobject)
-                self._recompose()
+                del self._declared[index]
+                try:
+                    self._recompose()
+                except (MetaObjectError, ChainOrderError):
+                    self._declared.insert(index, metaobject)
+                    raise
                 return metaobject
         raise MetaObjectError(f"chain {self.name!r} has no meta-object {name!r}")
 

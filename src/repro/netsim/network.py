@@ -15,10 +15,10 @@ from typing import Callable, Iterable
 
 from repro.errors import LinkDownError, NetworkError, NodeDownError
 from repro.events import Simulator
+from repro.graphs import Adjacency, shortest_path
 from repro.netsim.link import Link
 from repro.netsim.message import Message
 from repro.netsim.node import Node
-from repro.netsim.routing import Adjacency, shortest_path
 
 
 class NetworkStats:

@@ -28,9 +28,9 @@ from typing import Any, Callable
 
 from repro.errors import NetworkError
 from repro.events import Simulator
+from repro.graphs import first_hops
 from repro.netsim.message import Message
 from repro.netsim.network import Network
-from repro.netsim.routing import first_hops
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-import networkx as nx
-
 from repro.errors import PathError
+from repro.graphs import Adjacency, shortest_path
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,11 @@ class PathPlanner:
         """
         context = context or {}
         self.plan_count += 1
-        graph = nx.DiGraph()
-        graph.add_node("source")
-        graph.add_node("sink")
+        # The two ends are objects no option name can equal.
+        source, sink = object(), object()
+        succ: Adjacency = {source: {}, sink: {}}
+        pred: Adjacency = {source: {}, sink: {}}
+        options: dict[str, ServiceOption] = {}
         # Cost shift keeps edge weights non-negative for Dijkstra.
         shift = max(
             (abs(self._option_cost(o))
@@ -166,7 +167,7 @@ class PathPlanner:
              for o in self.family.options_for(stage)),
             default=0.0,
         )
-        previous_layer: list[ServiceOption | None] = [None]
+        previous_layer: list[Any] = [source]
         for stage in self.family.stages:
             layer = [
                 option
@@ -179,24 +180,22 @@ class PathPlanner:
                     f"{self.family.name!r} under context {dict(context)}"
                 )
             for option in layer:
-                graph.add_node(option.name, option=option)
+                name = option.name
+                options[name] = option
+                succ[name], pred[name] = {}, {}
+                weight = self._option_cost(option) + shift
                 for prev in previous_layer:
-                    if prev is None:
-                        graph.add_edge("source", option.name,
-                                       weight=self._option_cost(option) + shift)
+                    if prev is source:
+                        succ[source][name] = pred[name][source] = weight
                     elif option.compatible_after(prev):
-                        graph.add_edge(prev.name, option.name,
-                                       weight=self._option_cost(option) + shift)
+                        succ[prev.name][name] = pred[name][prev.name] = weight
             previous_layer = layer
         for prev in previous_layer:
-            if prev is not None:
-                graph.add_edge(prev.name, "sink", weight=0.0)
-        try:
-            node_path = nx.shortest_path(graph, "source", "sink", weight="weight")
-        except nx.NetworkXNoPath:
+            succ[prev.name][sink] = pred[sink][prev.name] = 0.0
+        node_path = shortest_path(succ, source, sink, pred)
+        if node_path is None:
             raise PathError(
                 f"stage options of family {self.family.name!r} are "
                 f"format-incompatible under context {dict(context)}"
-            ) from None
-        options = [graph.nodes[n]["option"] for n in node_path[1:-1]]
-        return CompositionPath(options)
+            )
+        return CompositionPath([options[n] for n in node_path[1:-1]])

@@ -5,7 +5,7 @@ waitUntil), a textual grammar, static calling-tree cycle detection, and
 an engine enforcing the rules over registered components.
 """
 
-from repro.rules.cycle_check import calling_graph, check_acyclic, is_acyclic
+from repro.rules.cycle_check import check_acyclic, is_acyclic
 from repro.rules.engine import RuleEngine
 from repro.rules.grammar import parse_rule, parse_rules
 from repro.rules.operators import CallAction, CallPattern, Rule, RuleOperator
@@ -16,7 +16,6 @@ __all__ = [
     "Rule",
     "RuleEngine",
     "RuleOperator",
-    "calling_graph",
     "check_acyclic",
     "is_acyclic",
     "parse_rule",

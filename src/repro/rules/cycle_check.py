@@ -7,9 +7,8 @@ forever.  FLO/C rejects such rule sets at parse time; so do we.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import RuleCycleError
+from repro.graphs import find_cycle
 from repro.rules.operators import Rule, RuleOperator
 
 _ACTION_OPERATORS = (
@@ -19,21 +18,26 @@ _ACTION_OPERATORS = (
 )
 
 
-def calling_graph(rules: list[Rule]) -> nx.DiGraph:
-    """Build the directed trigger→action graph of a rule set.
+def calling_graph(rules: list[Rule]) -> dict[str, dict[str, str]]:
+    """Build the directed trigger→action graph of a rule set as
+    ``{node: {successor: rule name}}``, nodes and edges in insertion
+    order (see :mod:`repro.graphs`).
 
     Nodes are concrete ``component.operation`` strings; wildcard triggers
     are connected to any action they could match (conservative
     over-approximation: a wildcard trigger node is linked from every
     action that matches it).
     """
-    graph = nx.DiGraph()
+    graph: dict[str, dict[str, str]] = {}
+
+    def add_edge(tail: str, head: str, rule: str) -> None:
+        graph.setdefault(tail, {})[head] = rule
+        graph.setdefault(head, {})
+
     action_rules = [r for r in rules if r.operator in _ACTION_OPERATORS]
     for rule in action_rules:
         assert rule.action is not None
-        trigger_node = str(rule.trigger)
-        action_node = str(rule.action)
-        graph.add_edge(trigger_node, action_node, rule=rule.name)
+        add_edge(str(rule.trigger), str(rule.action), rule.name)
     # Wildcard matching: an action a chains to rule r if r's trigger
     # pattern matches a.  When the pattern is the same string as the
     # action they already share a node; a bridging edge is only needed
@@ -47,21 +51,18 @@ def calling_graph(rules: list[Rule]) -> nx.DiGraph:
                 continue
             if other.trigger.matches(rule.action.component,
                                      rule.action.operation):
-                graph.add_edge(action_node, trigger_node, rule=other.name)
+                add_edge(action_node, trigger_node, other.name)
     return graph
 
 
 def check_acyclic(rules: list[Rule]) -> None:
     """Raise :class:`RuleCycleError` when the calling tree has a cycle."""
-    graph = calling_graph(rules)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return
-    path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
-    raise RuleCycleError(
-        f"rule set would create a cycle in the calling tree: {path}"
-    )
+    cycle = find_cycle(calling_graph(rules))
+    if cycle:
+        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
+        raise RuleCycleError(
+            f"rule set would create a cycle in the calling tree: {path}"
+        )
 
 
 def is_acyclic(rules: list[Rule]) -> bool:

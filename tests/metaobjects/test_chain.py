@@ -164,6 +164,37 @@ class TestMetaChain:
         with pytest.raises(MetaObjectError):
             MetaChain("c").remove("ghost")
 
+    def test_failed_remove_leaves_the_chain_as_it_was(self):
+        log = []
+        chain = MetaChain("c", [
+            tracing("a", log, must_precede=frozenset({"b"})),
+            tracing("b", log),
+            tracing("c", log, priority=-1),
+        ])
+        component = make_counter()
+        component.provided_port("svc").add_interceptor(chain.interceptor())
+        with pytest.raises(ChainOrderError, match="unknown wrapper 'b'"):
+            chain.remove("b")
+        assert chain.order_names == ["a", "b", "c"]
+        # The wrapper went back to its declared position, so a retry
+        # fails the same way and the declaration order still breaks ties.
+        with pytest.raises(ChainOrderError, match="unknown wrapper 'b'"):
+            chain.remove("b")
+        chain.remove("c")
+        chain.add(tracing("d", log))
+        assert chain.order_names == ["a", "b", "d"]
+        component.provided_port("svc").invoke(Invocation("total"))
+        assert log == ["a-in", "b-in", "d-in", "d-out", "b-out", "a-out"]
+
+    def test_failed_add_keeps_the_declaration_order(self):
+        first = passthrough("a")
+        chain = MetaChain("c", [first, passthrough("b")])
+        # An equal duplicate: the rollback must drop it, not ``first``.
+        with pytest.raises(MetaObjectError, match="duplicate"):
+            chain.add(MetaObject("a", first.behaviour))
+        chain.add(passthrough("c"))
+        assert chain.order_names == ["a", "b", "c"]
+
     def test_remove_then_len(self):
         chain = MetaChain("c", [passthrough("a"), passthrough("b")])
         chain.remove("a")

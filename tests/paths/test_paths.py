@@ -132,6 +132,14 @@ class TestPlanner:
         with pytest.raises(PathError, match="format-incompatible"):
             PathPlanner(family).plan()
 
+    @pytest.mark.parametrize("names", [("sink", "b1"), ("a1", "source")])
+    def test_options_named_like_the_planner_ends(self, names):
+        family = PathFamily("ends", ["a", "b"])
+        family.add_option(ServiceOption(names[0], "a", lambda v: v))
+        family.add_option(ServiceOption(names[1], "b", lambda v: v))
+        assert [p.names for p in family.all_paths()] == [list(names)]
+        assert PathPlanner(family).plan().names == list(names)
+
     def test_plan_count_tracks_usage(self):
         planner = PathPlanner(video_family())
         planner.plan({"bandwidth": 10})

@@ -1,12 +1,12 @@
 """Property: the simulator's own shortest paths equal networkx's.
 
-``repro.netsim.routing`` replaced networkx inside ``Network.route`` and
-``Partition``'s next-hop table and must pick the same path on every
-tie.  networkx stays the oracle here, on graphs built exactly as the
-networkx-based implementations built theirs: up nodes in insertion
-order, then up links in insertion order, one weighted edge each.
-Latencies come from a small set of exactly summable values so that
-equal-length paths are common.
+The shortest paths of ``repro.graphs`` replaced networkx inside
+``Network.route`` and ``Partition``'s next-hop table and must pick the
+same path on every tie.  networkx stays the oracle here, on graphs
+built exactly as the networkx-based implementations built theirs: up
+nodes in insertion order, then up links in insertion order, one
+weighted edge each.  Latencies come from a small set of exactly
+summable values so that equal-length paths are common.
 """
 
 from functools import partial
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from repro.errors import NetworkError
 from repro.events import Simulator
 from repro.netsim import Network, Partition, ring
-from repro.netsim.routing import first_hops
+from repro.graphs import first_hops
 from repro.parallel.scenario import star_ring_partition
 
 LATENCIES = (0.0, 0.5, 1.0, 2.0)
