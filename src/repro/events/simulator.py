@@ -15,8 +15,17 @@ Performance notes (the whole platform runs on this hot path):
 * Cancellation stays lazy (O(1)), but cancelled garbage no longer
   accumulates forever: when it outnumbers live events the queue is
   compacted in place (see :meth:`Simulator.compact`).
-* :meth:`Simulator.schedule_many` bulk-inserts a batch of events with a
-  single heapify instead of per-event pushes.
+* Pending entries live in two structures: the heap, and a *sorted run*
+  (a deque) beside it.  A :meth:`Simulator.schedule_many` batch that is
+  already in (time, priority, seq) order and starts after the run's last
+  entry extends the run with no heap work — a workload prescheduled up
+  front (every open-loop send of a region, a churn's arrivals) then
+  leaves the heap holding only what its events schedule, so each push
+  and pop sifts a small heap.  :meth:`Simulator.run` pops whichever head
+  is smaller; keys are unique, so the fire order is the heap-only order.
+  Any other batch goes to the heap with one heapify when it is large
+  relative to the heap, per-event pushes otherwise; every other schedule
+  pushes onto the heap.
 * Instrumentation is opt-in: :meth:`Simulator.set_hooks` installs a
   callback object observing schedule/fire/cancel (see
   :mod:`repro.telemetry`).  With no hooks installed the only cost is one
@@ -35,13 +44,15 @@ Scheduling surface (canonical shapes, all returning :class:`Event`)::
     sim.schedule(callback, *args, at=42.0)       # absolute
     sim.at(callback, *args, when=42.0)           # absolute (sugar)
     sim.call_soon(callback, *args)               # now, after same-time peers
-    sim.schedule_many([(1.5, callback), ...])    # bulk, one heapify
+    sim.schedule_many([(1.5, callback), ...])    # bulk insert
     sim.run()
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from operator import lt
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -118,6 +129,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, int, Event]] = []
+        #: The sorted run: presorted batch entries beside the heap, in
+        #: ascending key order (see :meth:`schedule_many`).
+        self._run: deque[tuple[float, int, int, Event]] = deque()
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -150,8 +164,9 @@ class Simulator:
 
     @property
     def queue_size(self) -> int:
-        """Physical heap size, live + cancelled garbage (telemetry)."""
-        return len(self._queue)
+        """Physical queue size, heap plus sorted run, live + cancelled
+        garbage (telemetry)."""
+        return len(self._queue) + len(self._run)
 
     @property
     def compactions(self) -> int:
@@ -284,7 +299,7 @@ class Simulator:
         absolute: bool = False,
         priority: int = DEFAULT_PRIORITY,
     ) -> list[Event]:
-        """Bulk-insert a batch of events with a single heapify.
+        """Bulk-insert a batch of events.
 
         Each item is ``(delay, callback)``, ``(delay, callback, args)`` or
         ``(delay, callback, args, priority)``; with ``absolute=True`` the
@@ -292,6 +307,10 @@ class Simulator:
         Sequence numbers are assigned in iteration order, so the batch
         interleaves exactly as the equivalent sequence of
         :meth:`schedule` / :meth:`at` calls would.
+
+        A batch already in (time, priority, seq) order that starts after
+        the sorted run's last entry extends the run; any other batch
+        goes to the heap.  Either way the fire order is the same.
 
         Returns the created events, in input order.
         """
@@ -315,8 +334,12 @@ class Simulator:
         self._seq = seq
         if not entries:
             return events
+        run = self._run
         queue = self._queue
-        if len(entries) * 8 >= len(queue):
+        if (not run or run[-1] < entries[0]) and \
+                all(map(lt, entries, entries[1:])):
+            run.extend(entries)
+        elif len(entries) * 8 >= len(queue):
             # Batch is large relative to the heap: one O(n+m) heapify
             # beats m O(log n) sift-ups.
             queue.extend(entries)
@@ -346,18 +369,24 @@ class Simulator:
             self.compact()
 
     def compact(self) -> int:
-        """Drop cancelled entries from the heap; returns how many were removed.
+        """Drop cancelled entries from the heap and the sorted run; returns
+        how many were removed.
 
         Runs automatically once cancelled garbage outnumbers live events
         (so `PeriodicTimer.stop()` churn cannot leak memory), but can be
-        called explicitly after a large cancellation wave.
+        called explicitly after a large cancellation wave.  Both
+        structures are rebuilt in place, so a :meth:`run` that a
+        cancelling callback interrupts keeps draining the same objects.
         """
-        queue = self._queue
-        before = len(queue)
+        queue, run = self._queue, self._run
+        before = len(queue) + len(run)
         queue[:] = [entry for entry in queue if not entry[3].cancelled]
         heapq.heapify(queue)
+        kept = [entry for entry in run if not entry[3].cancelled]
+        run.clear()
+        run.extend(kept)
         self._garbage = 0
-        removed = before - len(queue)
+        removed = before - len(queue) - len(run)
         if removed:
             self._compactions += 1
         return removed
@@ -389,19 +418,26 @@ class Simulator:
         self._running = True
         executed = 0
         exclusive = not inclusive
-        queue = self._queue
-        pop = heapq.heappop
+        queue, run = self._queue, self._run
+        pop, popleft = heapq.heappop, run.popleft
         try:
-            while queue:
+            while queue or run:
                 if max_events is not None and executed >= max_events:
                     break
-                head_time = queue[0][0]
+                # The smaller head of the heap and the sorted run fires
+                # next; keys are unique, so the two heads never tie.
+                from_run = run and (not queue or run[0] < queue[0])
+                entry = run[0] if from_run else queue[0]
+                head_time = entry[0]
                 if until is not None and (
                         head_time > until
                         or (exclusive and head_time == until)):
                     self._now = until
                     break
-                entry = pop(queue)
+                if from_run:
+                    popleft()
+                else:
+                    pop(queue)
                 event = entry[3]
                 if event.cancelled:
                     self._garbage -= 1
@@ -432,7 +468,10 @@ class Simulator:
         """Drop all pending events and rewind the clock to zero."""
         for entry in self._queue:
             entry[3]._sim = None
+        for entry in self._run:
+            entry[3]._sim = None
         self._queue.clear()
+        self._run.clear()
         self._now = 0.0
         self._seq = 0
         self._executed = 0

@@ -50,8 +50,9 @@ def validate(metaobjects: Sequence[MetaObject],
                 f"{sorted(members)}"
             )
 
+    # Sorted, like the edges in order(): set order follows the hash seed.
     for metaobject in metaobjects:
-        for other in metaobject.must_precede | metaobject.must_follow:
+        for other in sorted(metaobject.must_precede | metaobject.must_follow):
             if other not in present:
                 raise ChainOrderError(
                     f"meta-object {metaobject.name!r} is ordered against "
@@ -72,10 +73,12 @@ def order(metaobjects: Sequence[MetaObject],
     validate(metaobjects)
     by_name = {m.name: m for m in metaobjects}
     graph: dict[str, dict[str, None]] = {name: {} for name in by_name}
+    # Edges go in sorted name order: a frozenset's order follows the
+    # hash seed, and the first cycle found follows the edge order.
     for metaobject in metaobjects:
-        for later in metaobject.must_precede:
+        for later in sorted(metaobject.must_precede):
             graph[metaobject.name][later] = None
-        for earlier in metaobject.must_follow:
+        for earlier in sorted(metaobject.must_follow):
             graph[earlier][metaobject.name] = None
 
     cycle = find_cycle(graph)

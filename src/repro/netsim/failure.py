@@ -57,9 +57,9 @@ class FailureInjector:
         Returns the number of crashes scheduled.
         """
         names = candidates if candidates is not None else list(self.network.nodes)
-        # Draw the whole schedule first, then bulk-insert: one heapify
-        # instead of per-crash pushes.  The (time, seq) order of the
-        # batch is identical to the per-call ``sim.at`` sequence.
+        # Draw the whole schedule first, then bulk-insert instead of
+        # per-crash pushes.  The (time, seq) order of the batch is
+        # identical to the per-call ``sim.at`` sequence.
         items: list[tuple[float, object, tuple]] = []
         t = self.rng.expovariate(rate) if rate > 0 else horizon + 1
         while t < horizon:

@@ -14,7 +14,7 @@ import sys
 from typing import Callable, Iterable
 
 from repro.errors import LinkDownError, NetworkError, NodeDownError
-from repro.events import Simulator
+from repro.events import DEFAULT_PRIORITY, Simulator
 from repro.graphs import Adjacency, shortest_path
 from repro.netsim.link import Link
 from repro.netsim.message import Message
@@ -231,15 +231,19 @@ class Network:
         self._forward(message, path, 0)
 
     def _forward(self, message: Message, path: list[str], hop_index: int) -> None:
-        """Advance a message one hop along its precomputed path."""
+        """Advance a message one hop along its precomputed path.
+
+        The link is looked up afresh at every hop, so one removed,
+        replaced, failed or re-tuned since the message left shapes this
+        hop as the topology now stands.
+        """
         if hop_index >= len(path) - 1:
             self._arrive(message)
             return
         here, there = path[hop_index], path[hop_index + 1]
-        try:
-            link = self.link_between(here, there)
-            link.transfer_time(message.size)  # validates the link is up
-        except LinkDownError:
+        key = (here, there) if here <= there else (there, here)
+        link = self.links.get(key)
+        if link is None or not link.up:
             self.in_flight -= 1
             self._drop(message, "link_down")
             return
@@ -253,8 +257,9 @@ class Network:
         link.transferred_bytes += size
         # Serialize behind earlier traffic in this direction, then pay
         # transmission + propagation.
-        transmitter = (link.key, here)
-        now = self.sim.now
+        transmitter = (key, here)
+        sim = self.sim
+        now = sim.now
         free_at = self._transmitter_free_at
         start = max(now, free_at.get(transmitter, 0.0))
         transmission = size / link.bandwidth
@@ -264,7 +269,7 @@ class Network:
         if span is not None:
             # The hop's in-flight window is fully known here: queueing
             # behind earlier traffic, then transmission, then propagation.
-            tracer = self.sim.tracer
+            tracer = sim.tracer
             if tracer is not None:
                 tracer.emit(
                     "net.hop", f"{here}->{there}", now, now + delay,
@@ -274,7 +279,10 @@ class Network:
                     transmission=round(transmission, 9),
                     propagation=link.latency,
                 )
-        self.sim.schedule(self._forward, message, path, hop_index + 1, delay=delay)
+        # The kernel's shared push path: the hop's absolute time is known,
+        # so it skips ``schedule()``'s keyword handling.
+        sim._schedule_at(now + delay, self._forward,
+                         (message, path, hop_index + 1), DEFAULT_PRIORITY)
 
     def _arrive(self, message: Message) -> None:
         self.in_flight -= 1

@@ -70,8 +70,10 @@ class OpenLoopGenerator:
 
         With ``preschedule=True`` (requires ``duration``) every arrival
         instant is drawn up front and bulk-inserted with
-        ``Simulator.schedule_many`` — one heapify instead of a
-        schedule-per-arrival chain.  Arrival times and the RNG draw
+        ``Simulator.schedule_many`` instead of a schedule-per-arrival
+        chain; the arrivals are in time order, so they join the kernel's
+        sorted run, not its heap, unless they start before the run's
+        last entry.  Arrival times and the RNG draw
         sequence are identical to the chained mode; only the event
         insertion order differs (all arrivals first), so use it for
         throughput drivers, not for interleaving-sensitive replays.

@@ -216,3 +216,47 @@ class TestMetaChain:
         component.provided_port("svc").add_interceptor(chain.interceptor())
         component.provided_port("svc").invoke(Invocation("total"))
         assert meta.fire_count == 1
+
+
+HASH_SEED_SCRIPT = """
+from repro.errors import ChainOrderError
+from repro.metaobjects import MetaObject, order
+
+def meta(name, **constraints):
+    return MetaObject(name, lambda inv, proceed: proceed(inv), **constraints)
+
+for chain in (
+        # Two cycles through a: a -> b -> a and a -> c -> a.
+        [meta("a", must_precede={"b", "c"}), meta("b", must_precede={"a"}),
+         meta("c", must_precede={"a"})],
+        # Two unknown names on one wrapper, one known.
+        [meta("a", must_follow={"z", "b", "y"}), meta("b")]):
+    try:
+        order(chain)
+    except ChainOrderError as error:
+        print(error)
+"""
+
+
+def test_errors_name_the_same_culprit_under_every_hash_seed():
+    """Constraint sets are frozensets of strings, whose iteration order
+    follows ``PYTHONHASHSEED``; the reported cycle and unknown name must
+    not.  Each seed needs its own interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "ordering constraints form a cycle: a -> b -> a\n"
+        "meta-object 'a' is ordered against unknown wrapper 'y'\n"}

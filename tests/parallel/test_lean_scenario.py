@@ -229,4 +229,4 @@ class TestMemoryFootprint:
         build_lean_star_region(0, sim, partition, 11, leaves=1000,
                                messages=500_000, until=10.0, streams=32)
         # Half a million sends pend as 32 stream events, not 500k.
-        assert len(sim._queue) == 32
+        assert sim.queue_size == 32

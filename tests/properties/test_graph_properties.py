@@ -6,7 +6,9 @@ must return the same cycle, the same order and the same path on every
 tie.  networkx stays the oracle here, on graphs built in the same node
 and edge insertion order.  ``networkx_order`` and
 ``networkx_calling_graph`` are the networkx-based implementations the
-package replaced, kept verbatim apart from their names.
+package replaced, kept verbatim apart from their names and from
+``networkx_order`` adding constraint edges in sorted name order, as
+``order()`` now does.
 """
 
 import hypothesis.strategies as st
@@ -126,9 +128,9 @@ def networkx_order(metaobjects, strict_modificatory=True):
     graph = nx.DiGraph()
     graph.add_nodes_from(by_name)
     for metaobject in metaobjects:
-        for later in metaobject.must_precede:
+        for later in sorted(metaobject.must_precede):
             graph.add_edge(metaobject.name, later)
-        for earlier in metaobject.must_follow:
+        for earlier in sorted(metaobject.must_follow):
             graph.add_edge(earlier, metaobject.name)
 
     try:
